@@ -215,10 +215,6 @@ class MemoryArena:
     def reserved_bytes(self):
         return sum(r.length for r in self._regions)
 
-    @property
-    def regions(self):
-        return tuple(self._regions)
-
     def reserve(self, length, tag=""):
         """First-fit reservation at a 16-aligned base.  Regions never overlap."""
         if length <= 0:

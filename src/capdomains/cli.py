@@ -77,7 +77,8 @@ def _cmd_serve(args) -> int:
         srv.stop()
         srv.join()
     if srv.fatal is not None:
-        print(f"worker terminated by fault: {srv.fatal}", file=sys.stderr)
+        print(f"worker terminated by {type(srv.fatal).__name__}: {srv.fatal}",
+              file=sys.stderr)
         return 1
     return 0
 

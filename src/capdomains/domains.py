@@ -2,20 +2,21 @@
 
 A small fixed table of domains shares one capability arena.  Each domain
 owns a private heap carved from the arena on first use.  Work is routed
-into a domain through :meth:`DomainManager.domain_call`, which brackets
-the routine with a checkpoint.  A memory-safety fault inside the routine
-does not take the process down: the faulting domain (and any descendants
-set up beneath it) is destroyed, its heap pages are returned to the
-arena, and the caller receives an :class:`Aborted` outcome instead of an
-exception.  Everything the domain touched is discarded wholesale, so no
-corrupted state can leak back out.
+into a domain through :meth:`DomainManager.domain_call`.  A memory-safety
+fault inside the routine does not take the process down: it unwinds to
+the innermost ``domain_call`` whose domain is the faulting one or an
+ancestor of it.  That call destroys its domain (and every descendant set
+up beneath it), returns the heap pages to the arena, and hands its caller
+an :class:`Aborted` outcome instead of an exception.  Everything the
+domain touched is discarded wholesale, so no corrupted state can leak
+back out.
 
-The main domain (index 0) has no checkpoint to rewind to; a fault there
-is re-raised as :class:`MainDomainFault` and is expected to be fatal.
+The main domain (index 0) has nothing to rewind to; a fault there is
+re-raised as :class:`MainDomainFault` and is expected to be fatal.
 """
 
 import os
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .capmem import Capability, FaultRecord, MemoryArena, ProtectionFault, ArenaExhausted
 from .tlsf import TlsfControl, DEFAULT_MAX_POOL_SIZE, tlsf_create_with_pool
@@ -91,33 +92,20 @@ class Aborted:
 DomainOutcome = Union[Normal, Aborted]
 
 
-class _CallScope:
-    """Checkpoint token for one live domain_call frame."""
-
-    __slots__ = ("udi", "prev_checkpoint", "live")
-
-    def __init__(self, udi: int, prev_checkpoint: "Optional[_CallScope]"):
-        self.udi = udi
-        self.prev_checkpoint = prev_checkpoint
-        self.live = True
-
-
 class _Rewind(Exception):
-    # internal unwinding vehicle; never escapes domain_call
-    __slots__ = ("target_udi", "record", "scope")
+    # internal unwinding vehicle, consumed by the domain_call that owns it
+    __slots__ = ("target_udi", "record")
 
-    def __init__(self, target_udi: int, record: FaultRecord, scope: Optional[_CallScope]):
+    def __init__(self, target_udi: int, record: FaultRecord):
         super().__init__(f"rewind to domain {target_udi}")
         self.target_udi = target_udi
         self.record = record
-        self.scope = scope
 
 
 class _Slot:
     __slots__ = (
         "domain_init",
         "parent_udi",
-        "checkpoint",
         "heap",
         "heap_region",
         "heap_generation",
@@ -129,7 +117,6 @@ class _Slot:
     def reset(self):
         self.domain_init = False
         self.parent_udi = 0
-        self.checkpoint: Optional[_CallScope] = None
         self.heap: Optional[TlsfControl] = None
         self.heap_region = None
         self.heap_generation = 0
@@ -156,9 +143,8 @@ class DomainManager:
         self.max_pool_size = max_pool_size
         self.debug = debug
         self.active_domain = 0
-        self._slots: List[_Slot] = [_Slot() for _ in range(MAX_DOMAIN_ID + 1)]
+        self._slots = [_Slot() for _ in range(MAX_DOMAIN_ID + 1)]
         self._slots[0].domain_init = True  # main exists from birth
-        self._scopes: List[_CallScope] = []
         self._generation_counter = 0
 
     # ---------------------------------------------------------- introspection
@@ -191,8 +177,6 @@ class DomainManager:
             return StatusCode.ALREADY_INITIALIZE
         slot.domain_init = True
         slot.parent_udi = self.active_domain
-        # faults rewind to the innermost call frame alive at setup time
-        slot.checkpoint = self._scopes[-1] if self._scopes else None
         return StatusCode.SUCCESSFUL_INITIALIZE
 
     def enter(self, udi: int) -> StatusCode:
@@ -226,8 +210,6 @@ class DomainManager:
             if child != udi and self._slots[child].domain_init and self._slots[child].parent_udi == udi:
                 self.destroy(child)
         self._release_heap(slot)
-        if slot.checkpoint is not None:
-            slot.checkpoint = None
         slot.reset()
 
     def _release_heap(self, slot: _Slot) -> None:
@@ -241,7 +223,7 @@ class DomainManager:
     # ---------------------------------------------------------- fault routing
 
     def fault_dispatch(self, record: FaultRecord):
-        """Route a protection fault to the checkpoint of the active domain.
+        """Route a protection fault to the domain_call that owns the active domain.
 
         Never returns: raises the internal rewind for domain_call to
         consume, or :class:`MainDomainFault` when main itself faulted.
@@ -250,7 +232,7 @@ class DomainManager:
         record = record.with_domain(udi)
         if udi == 0:
             raise MainDomainFault(record)
-        raise _Rewind(udi, record, self._slots[udi].checkpoint)
+        raise _Rewind(udi, record)
 
     def _is_descendant(self, udi: int, ancestor: int) -> bool:
         seen = 0
@@ -262,15 +244,19 @@ class DomainManager:
         return False
 
     def domain_call(self, udi: int, routine: Callable[[], Any]) -> DomainOutcome:
-        """Run ``routine`` inside domain ``udi`` under a rewind checkpoint.
+        """Run ``routine`` inside domain ``udi``.
 
         The slot is set up on demand and entered; on a normal return the
         domain survives (heap and all) and the value comes back wrapped in
         :class:`Normal`.  A protection fault raised by any capability the
-        routine touches destroys the target domain and yields
-        :class:`Aborted`.  Exceptions that are not protection faults pass
-        through untouched and leave the domain alive.  Manager state
-        (active domain, unrelated slots) is identical before and after.
+        routine touches unwinds to the innermost call whose domain is the
+        faulting one or one of its ancestors; that call destroys its domain
+        and yields :class:`Aborted`.  A call entered from main also takes a
+        fault that no inner call owns (a domain entered by hand from outside
+        the call's subtree): it destroys the faulting domain and its own.
+        Exceptions that are not protection faults pass through untouched
+        and leave the domain alive.  The active domain is restored on every
+        exit.
         """
         if not 1 <= udi <= MAX_DOMAIN_ID:
             raise ValueError(f"domain_call({udi}) rejected: UDI_OUT_OF_BOUNDS")
@@ -278,35 +264,21 @@ class DomainManager:
         if not slot.domain_init:  # inlined setup, this is the hot path
             slot.domain_init = True
             slot.parent_udi = self.active_domain
-            slot.checkpoint = self._scopes[-1] if self._scopes else None
-        scope = _CallScope(udi, slot.checkpoint)
-        slot.checkpoint = scope
-        self._scopes.append(scope)
         prev_active = self.active_domain
         self.active_domain = udi
         try:
             try:
-                result = routine()
+                return Normal(routine())
             except ProtectionFault as exc:
                 self.fault_dispatch(exc.record)
-                raise AssertionError("fault_dispatch returned")  # pragma: no cover
         except _Rewind as rw:
             if rw.target_udi != udi and not self._is_descendant(rw.target_udi, udi):
-                slot.checkpoint = scope.prev_checkpoint
-                raise  # a frame further out owns this rewind
-            if self.debug and rw.scope is not None:
-                assert rw.scope.live, "rewind targets a checkpoint that already ended"
+                if prev_active != 0:
+                    raise  # a call further out owns this rewind
+                self.destroy(rw.target_udi)  # owned by no call: main is next
             self.destroy(udi)
             return Aborted(rw.record)
-        except BaseException:
-            slot.checkpoint = scope.prev_checkpoint
-            raise
-        else:
-            slot.checkpoint = scope.prev_checkpoint
-            return Normal(result)
         finally:
-            scope.live = False
-            self._scopes.pop()
             self.active_domain = prev_active
 
     # ---------------------------------------------------------- heaps

@@ -9,9 +9,17 @@ instead of corrupting neighbours.  What happens next depends on the mode:
                   terminates the worker (the unprotected contrast case).
 * ``tlsf``      - buffers come from a real allocator heap; same fatal
                   behavior on fault, isolates the allocator's own cost.
-* ``domains``   - the parse runs inside a nested isolation domain; a fault
-                  discards that domain, drops the offending connection,
-                  and every other connection keeps being served.
+* ``domains``   - buffers come from the heap of a nested isolation domain
+                  and the parse runs inside it; a fault discards that
+                  domain, drops the offending connection, and every other
+                  connection keeps being served.
+
+The modes differ only in where a connection's buffer comes from and
+whether the parse is contained; the worker picks both once and then runs
+one path.  Each connection takes its buffer on its first request and
+returns it on close.  In domains mode an abort discards the parse heap and
+with it every connection's buffer, so the worker forgets them all and each
+surviving connection takes a fresh one from the new heap.
 
 Wire protocol, one line per request, keep-alive:
 
@@ -24,6 +32,7 @@ a key=value counters body, ``SHUTDOWN\\n`` drains and stops the worker.
 Neither is counted in the request statistics.
 """
 
+import functools
 import logging
 import selectors
 import socket
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .capmem import Capability, MemoryArena, ProtectionFault, round_representable_length
-from .domains import DomainManager, MainDomainFault, Normal
+from .domains import Aborted, DomainManager, MainDomainFault
 from .tlsf import tlsf_create_with_pool
 
 log = logging.getLogger(__name__)
@@ -104,7 +113,11 @@ def parse_request_line(data: bytes, buf: Capability) -> RequestLine:
 
 
 class _FixedBufPool:
-    """Baseline-mode buffer source: a flat slab with a LIFO slot free list."""
+    """Baseline-mode buffer source: a flat slab with a LIFO slot free list.
+
+    It answers to ``malloc``/``free`` like a TLSF heap; every slot holds
+    ``each`` bytes, the rounded size of the one buffer a connection takes.
+    """
 
     def __init__(self, arena: MemoryArena, each: int, count: int):
         self.each = round_representable_length(each)
@@ -112,25 +125,24 @@ class _FixedBufPool:
         self._root = arena.root
         self._free = list(range(count - 1, -1, -1))
 
-    def alloc(self) -> Capability:
+    def malloc(self, _size: int) -> Capability:
         if not self._free:
             raise RuntimeError("connection buffer slots exhausted")
         slot = self._free.pop()
         addr = self.region.base + slot * self.each
         return self._root.address_set(addr).bounds_set(self.each)
 
-    def release(self, cap: Capability) -> None:
+    def free(self, cap: Capability) -> None:
         self._free.append((cap.base - self.region.base) // self.each)
 
 
 class _Conn:
-    __slots__ = ("sock", "rbuf", "buf", "buf_gen", "pending_line", "parse_job")
+    __slots__ = ("sock", "rbuf", "buf", "pending_line", "parse_job")
 
     def __init__(self, sock):
         self.sock = sock
         self.rbuf = bytearray()
         self.buf: Optional[Capability] = None
-        self.buf_gen = 0
         self.pending_line = b""
         self.parse_job = None
 
@@ -211,27 +223,8 @@ class GuardServer:
 
     def _worker(self) -> None:
         cfg = self.config
-        arena: Optional[MemoryArena] = None
         manager: Optional[DomainManager] = None
-        bufpool: Optional[_FixedBufPool] = None
-        heap = None
-        if cfg.mode == "domains":
-            manager = DomainManager(
-                arena_size=self.arena_size, default_heap_size=self.heap_size
-            )
-            arena = manager.arena
-        elif cfg.mode == "tlsf":
-            arena = MemoryArena(self.arena_size)
-            region = arena.reserve(self.heap_size, tag="worker-heap")
-            heap_cap = arena.root.address_set(region.base).bounds_set(region.length)
-            heap = tlsf_create_with_pool(heap_cap, self.heap_size)
-        else:
-            arena = MemoryArena(self.arena_size)
-            bufpool = _FixedBufPool(arena, cfg.header_buf_len, cfg.max_connections)
-
         sel = selectors.DefaultSelector()
-        sel.register(self._listener, selectors.EVENT_READ, "accept")
-        sel.register(self._wake_r, selectors.EVENT_READ, "wake")
         conns: Dict[socket.socket, _Conn] = {}
         shutting_down = False
 
@@ -260,40 +253,23 @@ class GuardServer:
                 conn.sock.close()
             except OSError:
                 pass
-            if conn.buf is None:
-                return
-            if cfg.mode == "baseline":
-                bufpool.release(conn.buf)
-            elif cfg.mode == "tlsf":
-                heap.free(conn.buf)
-            elif conn.buf_gen == manager.heap_generation(PARSE_DOMAIN_UDI):
-                # stale generations mean the heap (and buffer) are already gone
-                cap = conn.buf
-                manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(cap))
-            conn.buf = None
-
-        def reserved_bytes() -> int:
-            if cfg.mode != "domains":
-                return arena.reserved_bytes
-            # report at the stable point: parse heap provisioned
-            if manager.heap_of(PARSE_DOMAIN_UDI) is None:
-                manager.setup(PARSE_DOMAIN_UDI)
-                manager.enter(PARSE_DOMAIN_UDI)
-                manager.heap_init()
-                manager.exit()
-            return arena.reserved_bytes
+            if conn.buf is not None:
+                free(conn.buf)
+                conn.buf = None
 
         def stats_body() -> bytes:
             snap = self.stats_snapshot()
-            # provision first so reserved and heap_generation describe the
-            # same instant (a just-aborted parse heap would otherwise report
-            # generation 0 next to its re-provisioned reservation)
-            reserved = reserved_bytes()
-            gen = manager.heap_generation(PARSE_DOMAIN_UDI) if manager else 0
+            gen = 0
+            if manager is not None:
+                # provision first so reserved and heap_generation describe the
+                # same instant (a just-aborted parse heap would otherwise report
+                # generation 0 next to its re-provisioned reservation)
+                manager.domain_call(PARSE_DOMAIN_UDI, manager.heap_init)
+                gen = manager.heap_generation(PARSE_DOMAIN_UDI)
             text = (
                 f"mode={cfg.mode} payload={cfg.payload_size} "
                 f"served={snap.served} rejected={snap.rejected_malicious} "
-                f"bytes_out={snap.bytes_out} reserved={reserved} "
+                f"bytes_out={snap.bytes_out} reserved={arena.reserved_bytes} "
                 f"heap_generation={gen} alive=1"
             )
             return text.encode("ascii")
@@ -314,13 +290,11 @@ class GuardServer:
             # built once per connection so the per-request path allocates
             # nothing beyond what the parse itself needs
             def job():
-                gen = manager.heap_generation(PARSE_DOMAIN_UDI)
-                if conn.buf is None or conn.buf_gen != gen:
-                    conn.buf = manager.dalloc(cfg.header_buf_len)
-                    conn.buf_gen = manager.heap_generation(PARSE_DOMAIN_UDI)
+                if conn.buf is None:
+                    conn.buf = malloc(cfg.header_buf_len)
                 return parse_request_line(conn.pending_line, conn.buf)
 
-            return job
+            return contain(job)
 
         def handle_line(conn: _Conn, line: bytes) -> None:
             nonlocal shutting_down
@@ -332,22 +306,16 @@ class GuardServer:
                 send(conn, b"OK 3\nbye")
                 shutting_down = True
                 return
-            if manager is not None:
-                conn.pending_line = line
-                outcome = manager.domain_call(PARSE_DOMAIN_UDI, conn.parse_job)
-                if not isinstance(outcome, Normal):
-                    log.info(
-                        "connection dropped after contained fault: %s", outcome.fault
-                    )
-                    bump(rejected=1)
-                    close_conn(conn)
-                    return
-            else:
-                if conn.buf is None:
-                    conn.buf = bufpool.alloc() if cfg.mode == "baseline" else heap.malloc(
-                        cfg.header_buf_len
-                    )
-                parse_request_line(line, conn.buf)  # fault here kills the worker
+            conn.pending_line = line
+            outcome = conn.parse_job()
+            if isinstance(outcome, Aborted):
+                log.info("connection dropped after contained fault: %s", outcome.fault)
+                bump(rejected=1)
+                # the discarded parse heap took every connection's buffer with it
+                for other in conns.values():
+                    other.buf = None
+                close_conn(conn)
+                return
             if send(conn, ok_frame):
                 bump(served=1, out=ok_frame_len)
             else:
@@ -381,6 +349,35 @@ class GuardServer:
                     return
 
         try:
+            # per-mode state: where buffers come from and whether a parse
+            # is contained
+            if cfg.mode == "domains":
+                manager = DomainManager(
+                    arena_size=self.arena_size, default_heap_size=self.heap_size
+                )
+                arena = manager.arena
+                malloc = manager.dalloc  # the parse job runs inside the parse domain
+
+                def free(cap: Capability) -> None:
+                    manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(cap))
+
+                def contain(job):
+                    return functools.partial(manager.domain_call, PARSE_DOMAIN_UDI, job)
+            else:
+                arena = MemoryArena(self.arena_size)
+                if cfg.mode == "tlsf":
+                    region = arena.reserve(self.heap_size, tag="worker-heap")
+                    heap_cap = arena.root.address_set(region.base).bounds_set(region.length)
+                    heap = tlsf_create_with_pool(heap_cap, self.heap_size)
+                else:
+                    heap = _FixedBufPool(arena, cfg.header_buf_len, cfg.max_connections)
+                malloc, free = heap.malloc, heap.free
+
+                def contain(job):
+                    return job  # unguarded: a fault in the parse kills the worker
+
+            sel.register(self._listener, selectors.EVENT_READ, "accept")
+            sel.register(self._wake_r, selectors.EVENT_READ, "wake")
             while not shutting_down and not self._stop_flag.is_set():
                 for key, _ in sel.select(timeout=0.5):
                     if key.data == "wake":
@@ -398,8 +395,7 @@ class GuardServer:
                             continue
                         sock.setblocking(False)
                         conn = _Conn(sock)
-                        if manager is not None:
-                            conn.parse_job = make_parse_job(conn)
+                        conn.parse_job = make_parse_job(conn)
                         conns[sock] = conn
                         sel.register(sock, selectors.EVENT_READ, conn)
                     else:
@@ -408,6 +404,10 @@ class GuardServer:
             # the unguarded contrast case: the worker context dies here
             self.fatal = exc
             log.warning("worker terminated by protection fault: %s", exc)
+        except Exception as exc:
+            # anything else (allocator exhaustion, say) is a cause to report too
+            self.fatal = exc
+            log.exception("worker terminated by %s", type(exc).__name__)
         finally:
             snap = self.stats_snapshot()
             log.info(
@@ -422,16 +422,3 @@ class GuardServer:
                     s.close()
                 except OSError:
                     pass
-
-
-def serve(config: ServerConfig, heap_size: int = 256 * 1024) -> GuardServer:
-    """Start a server and block until its worker exits (fault or shutdown)."""
-    srv = GuardServer(config, heap_size=heap_size)
-    srv.start()
-    try:
-        while srv.alive:
-            srv.join(timeout=0.5)
-    except KeyboardInterrupt:
-        srv.stop()
-        srv.join()
-    return srv

@@ -345,13 +345,6 @@ class TlsfControl:
         self.stats.live_allocations += 1
         return blk, remainder
 
-    def block_merge(self, blk):
-        with self._lock:
-            self._ensure_alive()
-            out = self._merge(blk)
-            self._after_op()
-            return out
-
     def _merge(self, blk):
         # blk is allocated and being freed; coalesce both physical neighbors
         self.stats.bytes_allocated -= blk.size

@@ -63,6 +63,33 @@ def test_serve_until_shutdown_request():
     sock.close()
 
 
+def test_serve_exits_nonzero_when_the_worker_dies(capsys):
+    # a 512 KiB request buffer cannot come from the 256 KiB parse heap
+    port = free_port()
+    rc = {}
+
+    def run():
+        rc["value"] = main(["serve", "--port", str(port), "--buf-len", "524288"])
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 5
+    sock = None
+    while time.monotonic() < deadline:
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=1)
+            break
+        except OSError:
+            time.sleep(0.05)
+    assert sock is not None, "serve never started listening"
+    sock.sendall(b"GET /big\n")
+    assert sock.recv(1) == b""
+    sock.close()
+    thread.join(timeout=5)
+    assert rc.get("value") == 1
+    assert "OutOfMemory" in capsys.readouterr().err
+
+
 def test_bench_and_attack_commands(tmp_path, capsys):
     srv = GuardServer(ServerConfig(listen_port=0, mode="domains", payload_size=0))
     srv.start()

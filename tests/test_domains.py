@@ -217,6 +217,31 @@ def test_fault_in_bare_entered_child_unwinds_to_enclosing_call():
     assert mgr.arena.reserved_bytes == before
 
 
+def test_rewind_owned_by_no_call_is_taken_by_the_outermost():
+    # domain 2 hangs under domain 1, but is entered by hand from a call into
+    # domain 3; no call owns its rewind, so the call entered from main takes
+    # it and discards both the faulting domain and its own
+    mgr = small_manager()
+    assert isinstance(mgr.domain_call(1, lambda: mgr.setup(2)), Normal)
+    assert mgr.parent_of(2) == 1
+
+    def routine():
+        mgr.dalloc(16)  # give domain 3 a heap
+        mgr.enter(2)
+        bad = mgr.dalloc(16)
+        bad.store(0, b"!" * 32)
+
+    before = mgr.arena.reserved_bytes
+    out = mgr.domain_call(3, routine)
+    assert isinstance(out, Aborted)
+    assert out.fault.domain_udi == 2
+    assert not mgr.is_initialized(2)
+    assert not mgr.is_initialized(3)
+    assert mgr.is_initialized(1), "the bystander parent survives"
+    assert mgr.active_domain == 0
+    assert mgr.arena.reserved_bytes == before
+
+
 # ---------------------------------------------------------------- destroy
 
 def test_destroy_reclaims_heap_accounting():

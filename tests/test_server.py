@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from capdomains.capmem import BoundsViolation
+from capdomains.capmem import ArenaExhausted, BoundsViolation
 from capdomains.domains import DomainManager
 from capdomains.server import (
     GuardServer,
@@ -15,6 +15,7 @@ from capdomains.server import (
     ServerConfig,
     parse_request_line,
 )
+from capdomains.tlsf import OutOfMemory
 
 
 def connect(port):
@@ -45,6 +46,12 @@ def read_response(sock):
 def roundtrip(sock, line):
     sock.sendall(line)
     return read_response(sock)
+
+
+def stats_fields(sock):
+    kind, _, body = roundtrip(sock, b"STATS\n")
+    assert kind == b"OK"
+    return dict(kv.split(b"=") for kv in body.split())
 
 
 def start_server(mode, payload_size=128, **kw):
@@ -264,10 +271,7 @@ def test_repeated_attacks_do_not_grow_reserved_bytes():
     srv = start_server("domains")
     try:
         def reserved_now(sock):
-            kind, _, body = roundtrip(sock, b"STATS\n")
-            assert kind == b"OK"
-            fields = dict(kv.split(b"=") for kv in body.split())
-            return int(fields[b"reserved"])
+            return int(stats_fields(sock)[b"reserved"])
 
         sock = connect(srv.port)
         assert roundtrip(sock, b"GET /warm\n")[0] == b"OK"
@@ -279,6 +283,34 @@ def test_repeated_attacks_do_not_grow_reserved_bytes():
             sock = connect(srv.port)
         assert reserved_now(sock) == baseline_reserved
         sock.close()
+    finally:
+        srv.stop()
+        srv.join()
+
+
+def test_closing_a_connection_that_survived_an_abort():
+    # the abort discards the parse heap and every buffer in it; connections
+    # that outlive it must neither reuse nor free their old buffer
+    srv = start_server("domains")
+    try:
+        a, b = connect(srv.port), connect(srv.port)
+        assert roundtrip(a, b"GET /a\n")[0] == b"OK"
+        assert roundtrip(b, b"GET /b\n")[0] == b"OK"
+        reserved = stats_fields(b)[b"reserved"]
+        c = connect(srv.port)
+        c.sendall(ATTACK)
+        assert read_response(c) is None
+        c.close()
+        assert roundtrip(b, b"GET /b\n")[0] == b"OK"
+        a.close()
+        d = connect(srv.port)
+        assert roundtrip(d, b"GET /d\n")[0] == b"OK"
+        fields = stats_fields(d)
+        assert fields[b"alive"] == b"1"
+        assert fields[b"reserved"] == reserved
+        assert srv.alive and srv.fatal is None
+        b.close()
+        d.close()
     finally:
         srv.stop()
         srv.join()
@@ -342,3 +374,29 @@ def test_stop_is_idempotent():
     srv.join()
     srv.stop()
     assert not srv.alive
+
+
+@pytest.mark.parametrize(
+    "mode, cause",
+    [("baseline", ArenaExhausted), ("tlsf", OutOfMemory), ("domains", OutOfMemory)],
+)
+def test_worker_death_has_a_recorded_cause(mode, cause):
+    # 64 connection slots of 512 KiB overflow the baseline arena at start-up;
+    # the allocating modes cannot fit one such buffer in their 256 KiB heap
+    srv = start_server(mode, header_buf_len=512 * 1024)
+    try:
+        try:
+            sock = connect(srv.port)
+            sock.sendall(b"GET /big\n")
+            assert read_response(sock) is None
+            sock.close()
+        except OSError:
+            pass  # the listener is already closed
+        srv.join(timeout=5)
+        assert not srv.alive
+        assert isinstance(srv.fatal, cause)
+        with pytest.raises(OSError):
+            connect(srv.port)
+    finally:
+        srv.stop()
+        srv.join()
