@@ -242,7 +242,7 @@ def run_workload(cfg: BenchConfig) -> BenchResult:
     )
 
 
-def compare_modes(results: Sequence[BenchResult], baseline_mode: str = "baseline"):
+def compare_modes(results: Sequence[BenchResult]):
     """Relative throughput vs the baseline mode, per payload.
 
     Returns (rows, csv_text); every payload present must include a
@@ -258,9 +258,9 @@ def compare_modes(results: Sequence[BenchResult], baseline_mode: str = "baseline
     )
     for payload in payloads:
         cell = by_payload[payload]
-        if baseline_mode not in cell:
-            raise ValueError(f"payload {payload} has no {baseline_mode} measurement")
-        base = cell[baseline_mode].requests_per_second
+        if "baseline" not in cell:
+            raise ValueError(f"payload {payload} has no baseline measurement")
+        base = cell["baseline"].requests_per_second
         modes = [m for m in MODE_ORDER if m in cell] + sorted(
             m for m in cell if m not in MODE_ORDER
         )

@@ -37,12 +37,13 @@ import logging
 import selectors
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from .capmem import Capability, MemoryArena, ProtectionFault, round_representable_length
-from .domains import Aborted, DomainManager, MainDomainFault
-from .tlsf import tlsf_create_with_pool
+from .capmem import (ArenaExhausted, Capability, MemoryArena, ProtectionFault,
+                     round_representable_length)
+from .domains import Aborted, DomainManager, HeapInitError, MainDomainFault
+from .tlsf import AllocationError, tlsf_create_with_pool
 
 log = logging.getLogger(__name__)
 
@@ -158,9 +159,10 @@ def _payload_body(size: int) -> bytes:
 class GuardServer:
     """One listener plus one worker thread that owns all per-mode state.
 
-    The worker holds the arena, allocator, and (in domains mode) the
-    domain manager; nothing else touches them.  Tests and the benchmark
-    talk to the server over its socket or through :meth:`stats_snapshot`.
+    :meth:`start` builds the arena, allocator, and (in domains mode) the
+    domain manager and hands them to the worker; nothing else touches them
+    after that.  Tests and the benchmark talk to the server over its socket
+    or through :meth:`stats_snapshot`.
     """
 
     def __init__(self, config: ServerConfig, heap_size: int = 256 * 1024,
@@ -182,8 +184,11 @@ class GuardServer:
     # ------------------------------------------------------------ lifecycle
 
     def start(self) -> None:
+        """Build the per-mode state, then listen and start the worker.  A
+        request buffer that can never be served raises ValueError first."""
         if self._thread is not None:
             raise RuntimeError("server already started")
+        state = self._mode_state()
         self._listener = socket.create_server(
             (self.config.host, self.config.listen_port),
             backlog=self.config.max_connections,
@@ -193,7 +198,7 @@ class GuardServer:
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._thread = threading.Thread(
-            target=self._worker, name=f"guard-{self.config.mode}", daemon=True
+            target=self._worker, args=state, name=f"guard-{self.config.mode}", daemon=True
         )
         self._thread.start()
 
@@ -215,15 +220,52 @@ class GuardServer:
 
     def stats_snapshot(self) -> ConnectionStats:
         with self._stats_lock:
-            return ConnectionStats(
-                self._stats.served, self._stats.rejected_malicious, self._stats.bytes_out
-            )
+            return replace(self._stats)
 
     # ------------------------------------------------------------ worker
 
-    def _worker(self) -> None:
-        cfg = self.config
+    def _mode_state(self):
+        """Per-mode state: where buffers come from and whether a parse is
+        contained.  One buffer is taken and returned as a probe, inside the
+        parse domain in domains mode."""
+        cfg, buf_len = self.config, self.config.header_buf_len
         manager: Optional[DomainManager] = None
+        try:
+            if cfg.mode == "domains":
+                manager = DomainManager(arena_size=self.arena_size,
+                                        default_heap_size=self.heap_size)
+                arena = manager.arena
+                malloc = manager.dalloc  # the parse job runs inside the parse domain
+
+                def free(cap: Capability) -> None:
+                    manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(cap))
+
+                def contain(job):
+                    return functools.partial(manager.domain_call, PARSE_DOMAIN_UDI, job)
+
+                manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(malloc(buf_len)))
+            else:
+                arena = MemoryArena(self.arena_size)
+                if cfg.mode == "tlsf":
+                    region = arena.reserve(self.heap_size, tag="worker-heap")
+                    heap_cap = arena.root.address_set(region.base).bounds_set(region.length)
+                    heap = tlsf_create_with_pool(heap_cap, self.heap_size)
+                else:
+                    heap = _FixedBufPool(arena, buf_len, cfg.max_connections)
+                malloc, free = heap.malloc, heap.free
+
+                def contain(job):
+                    return job  # unguarded: a fault in the parse kills the worker
+
+                free(malloc(buf_len))
+        except (ArenaExhausted, AllocationError, HeapInitError) as exc:
+            raise ValueError(
+                f"{cfg.mode} mode cannot serve a {buf_len}-byte request buffer (--buf-len): {exc}"
+            ) from exc
+        return arena, manager, malloc, free, contain
+
+    def _worker(self, arena, manager, malloc, free, contain) -> None:
+        cfg = self.config
         sel = selectors.DefaultSelector()
         conns: Dict[socket.socket, _Conn] = {}
         shutting_down = False
@@ -349,33 +391,6 @@ class GuardServer:
                     return
 
         try:
-            # per-mode state: where buffers come from and whether a parse
-            # is contained
-            if cfg.mode == "domains":
-                manager = DomainManager(
-                    arena_size=self.arena_size, default_heap_size=self.heap_size
-                )
-                arena = manager.arena
-                malloc = manager.dalloc  # the parse job runs inside the parse domain
-
-                def free(cap: Capability) -> None:
-                    manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(cap))
-
-                def contain(job):
-                    return functools.partial(manager.domain_call, PARSE_DOMAIN_UDI, job)
-            else:
-                arena = MemoryArena(self.arena_size)
-                if cfg.mode == "tlsf":
-                    region = arena.reserve(self.heap_size, tag="worker-heap")
-                    heap_cap = arena.root.address_set(region.base).bounds_set(region.length)
-                    heap = tlsf_create_with_pool(heap_cap, self.heap_size)
-                else:
-                    heap = _FixedBufPool(arena, cfg.header_buf_len, cfg.max_connections)
-                malloc, free = heap.malloc, heap.free
-
-                def contain(job):
-                    return job  # unguarded: a fault in the parse kills the worker
-
             sel.register(self._listener, selectors.EVENT_READ, "accept")
             sel.register(self._wake_r, selectors.EVENT_READ, "wake")
             while not shutting_down and not self._stop_flag.is_set():
@@ -405,7 +420,8 @@ class GuardServer:
             self.fatal = exc
             log.warning("worker terminated by protection fault: %s", exc)
         except Exception as exc:
-            # anything else (allocator exhaustion, say) is a cause to report too
+            # anything else (a heap that runs out under many connections,
+            # say) is a cause to report too
             self.fatal = exc
             log.exception("worker terminated by %s", type(exc).__name__)
         finally:

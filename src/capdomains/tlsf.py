@@ -3,10 +3,13 @@
 Port parameters follow the capability-width variant of the classic layout:
 16-byte alignment (ALIGN_SIZE_LOG2 = 4), header offsets in 16-byte units
 ("doubled sizeof(size_t)"), 32 second-level classes, small-block threshold
-256.  Per-block metadata lives in the arena and is reached only through
-capabilities derived from the heap authority; the control structure's byte
-area is reserved at the head of the first pool but its contents are mirrored
-in host objects (bitmaps and list heads) rather than serialized.
+256.  Per-block metadata lives in the arena.  A block is named by the arena
+offset of its header, and each header field is read or written by one
+capability load or store through the capability of the pool that holds it,
+so every metadata access is checked before a byte moves.  The control
+structure's byte area is reserved at the head of the first pool but its
+contents are mirrored in host objects (bitmaps and list heads) rather than
+serialized.
 
 Block geometry::
 
@@ -20,7 +23,9 @@ a 32-byte sentinel (prev_phys + size fields only) whose size is zero.
 """
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from capdomains.capmem import round_representable_length
 
@@ -100,66 +105,58 @@ def _lsb(x):
     return (x & -x).bit_length() - 1
 
 
-class BlockRef:
-    """Header view: a capability addressed at the header plus a cached
-    size+flags word.  Mutations go through the capability."""
+# One header field is one 8-byte load or store through `cap`, the
+# capability of the pool that holds it.
+def _read(cap, addr):
+    return int.from_bytes(cap.load(addr, 8), "little")
 
-    __slots__ = ("off", "_cap", "_sf")
 
-    def __init__(self, off, cap, sf=None):
-        self.off = off
-        self._cap = cap
-        if sf is None:
-            sf = int.from_bytes(cap.load(_SF_OFF, 8), "little")
-        self._sf = sf
+def _write(cap, addr, value):
+    cap.store(addr, value.to_bytes(8, "little"))
 
-    def __repr__(self):
-        return "BlockRef(off=%d, size=%d, free=%s)" % (self.off, self.size, self.is_free)
 
-    @property
-    def size(self):
-        return self._sf & ~0xF
+# offsets are stored +1 so zero can mean "none" even at arena offset 0
+def _read_link(cap, addr):
+    raw = int.from_bytes(cap.load(addr, 8), "little")
+    return raw - 1 if raw else None
 
-    @property
-    def is_free(self):
-        return bool(self._sf & FREE_BIT)
 
-    @property
-    def prev_free(self):
-        return bool(self._sf & PREV_FREE_BIT)
+def _write_link(cap, addr, off):
+    cap.store(addr, (0 if off is None else off + 1).to_bytes(8, "little"))
+
+
+class BlockHeader(NamedTuple):
+    """Read-only snapshot of one block header, named by its arena offset."""
+
+    off: int
+    size: int
+    is_free: bool
+    prev_free: bool
 
     @property
     def payload_offset(self):
         return self.off + HEADER_SIZE
 
-    def _write_sf(self, sf):
-        self._cap.store(_SF_OFF, sf.to_bytes(8, "little"))
-        self._sf = sf
-
-    # offsets are stored +1 so zero can mean "none" even at arena offset 0
-    def _read_ref(self, field_off):
-        raw = int.from_bytes(self._cap.load(field_off, 8), "little")
-        return raw - 1 if raw else None
-
-    def _write_ref(self, field_off, off):
-        raw = 0 if off is None else off + 1
-        self._cap.store(field_off, raw.to_bytes(8, "little"))
-
-    def _at(self, off):
-        """Sibling header view in the same pool."""
-        return BlockRef(off, self._cap.address_set(off))
-
 
 class TlsfControl:
     """Allocator state over one or more pools.  Public operations are
-    serialized by an internal lock; distinct controls are independent."""
+    serialized by an internal lock; distinct controls are independent.
 
-    def __init__(self, heap_cap, max_pool_size, debug):
-        self.heap_cap = heap_cap
+    A block is named by the arena offset of its header, and every header
+    field is checked through the capability of the pool that holds it, which
+    :meth:`_cap` finds.  Physical neighbours share a pool and its capability;
+    a free-list link may lead into another pool and is looked up again.
+    """
+
+    def __init__(self, max_pool_size, debug):
         self.max_pool_size = max_pool_size
         self.debug = debug
         self.stats = AllocStats()
         self._pools = []
+        # per pool, sorted by base: the span past the control area, and a
+        # capability over it addressed at 0, so a field is at its arena offset
+        self._bases = []
+        self._caps = []
         self._heads = [[None] * SL_COUNT for _ in range(FL_COUNT)]
         self._fl_bitmap = 0
         self._sl_bitmaps = [0] * FL_COUNT
@@ -177,26 +174,13 @@ class TlsfControl:
     def class_bit_set(self, fl, sl):
         return bool(self._sl_bitmaps[fl] >> sl & 1) and bool(self._fl_bitmap >> fl & 1)
 
-    @property
-    def free_bytes(self):
-        total = 0
-        for fl in range(FL_COUNT):
-            for sl in range(SL_COUNT):
-                off = self._heads[fl][sl]
-                while off is not None:
-                    blk = self._block_at(off)
-                    total += blk.size
-                    off = blk._read_ref(_NEXT_OFF)
-        return total
-
     # ------------------------------------------------------------ pools
 
     def add_pool(self, region, size):
         with self._lock:
             self._ensure_alive()
             self._validate_pool(region, size, minimum=POOL_OVERHEAD + MIN_BLOCK)
-            narrowed = region.bounds_set(size)
-            self._init_pool(narrowed, size, has_control=False)
+            self._init_pool(region, size, has_control=False)
             self._after_op()
 
     def _validate_pool(self, region, size, minimum):
@@ -211,84 +195,81 @@ class TlsfControl:
             if base < p.region.base + p.size and p.region.base < end:
                 raise ValueError("pool [%d, %d) overlaps an existing pool" % (base, end))
 
-    def _init_pool(self, narrowed, size, has_control):
-        base = narrowed.base
-        first_off = base + (CONTROL_SIZE if has_control else 0)
-        payload = size - (CONTROL_SIZE if has_control else 0) - POOL_OVERHEAD
-        blk = BlockRef(first_off, narrowed.address_set(first_off), sf=0)
-        blk._write_ref(0, None)  # no physical predecessor
-        blk._write_sf(payload | FREE_BIT)
-        sentinel = blk._at(base + size - SENTINEL_SIZE)
-        sentinel._write_ref(0, first_off)
-        sentinel._write_sf(0 | PREV_FREE_BIT)
+    def _init_pool(self, region, size, has_control):
+        narrowed = region.bounds_set(size)
+        first = narrowed.base + (CONTROL_SIZE if has_control else 0)
+        end = narrowed.base + size
+        cap = narrowed.address_set(first).bounds_set(end - first).address_set(0)
+        i = bisect_right(self._bases, first)
+        self._bases.insert(i, first)
+        self._caps.insert(i, cap)
         self._pools.append(PoolDescriptor(narrowed, size, has_control))
         self.stats.bytes_reserved += size
-        self._insert(blk)
+        payload = end - first - POOL_OVERHEAD
+        sentinel = end - SENTINEL_SIZE
+        _write_link(cap, first, None)  # no physical predecessor
+        _write(cap, first + _SF_OFF, payload | FREE_BIT)
+        _write_link(cap, sentinel, first)
+        _write(cap, sentinel + _SF_OFF, PREV_FREE_BIT)
+        self._insert(cap, first, payload)
 
     # ------------------------------------------------------------ lookup
 
-    def _pool_of(self, addr):
-        for p in self._pools:
-            if p.region.base <= addr < p.region.base + p.size:
-                return p
-        return None
+    def _cap(self, addr):
+        """Capability of the pool that holds arena offset `addr`."""
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0:
+            cap = self._caps[i]
+            if addr < cap.top:
+                return cap
+        raise InvalidFree("address %d is not inside any pool" % addr)
 
-    def _block_at(self, off):
-        pool = self._pool_of(off)
-        return BlockRef(off, pool.region.address_set(off))
+    def _snapshot(self, off):
+        sf = _read(self._cap(off), off + _SF_OFF)
+        return BlockHeader(off, sf & ~0xF, bool(sf & FREE_BIT), bool(sf & PREV_FREE_BIT))
 
     def offset_to_block(self, payload_cap):
         with self._lock:
             self._ensure_alive()
-            return self._offset_to_block(payload_cap)
+            return self._snapshot(self._header_of(payload_cap))
 
-    def _offset_to_block(self, payload_cap):
+    def _header_of(self, payload_cap):
+        """Header offset of the allocation that starts at payload_cap."""
         addr = payload_cap.address
-        pool = self._pool_of(addr)
-        if pool is None:
-            raise InvalidFree("address %d is not inside any pool" % addr)
-        header_off = addr - HEADER_SIZE
-        if addr % ALIGN or header_off < pool.region.base + (CONTROL_SIZE if pool.has_control else 0):
+        header = addr - HEADER_SIZE
+        if addr % ALIGN or header < self._cap(addr).base:
             raise InvalidFree("address %d is not an allocation start" % addr)
-        # derive from the whole-heap authority, never by widening payload_cap
-        src = self.heap_cap if self.heap_cap.base <= header_off < self.heap_cap.top else pool.region
-        return BlockRef(header_off, src.address_set(header_off))
+        return header
 
     # ------------------------------------------------------------ free lists
 
-    def _set_class(self, fl, sl):
+    def _insert(self, cap, off, size):
+        fl, sl = mapping_insert(size)
+        head = self._heads[fl][sl]
+        _write_link(cap, off + _NEXT_OFF, head)
+        _write_link(cap, off + _PREV_LINK_OFF, None)
+        if head is not None:
+            _write_link(self._cap(head), head + _PREV_LINK_OFF, off)
+        self._heads[fl][sl] = off
         self._fl_bitmap |= 1 << fl
         self._sl_bitmaps[fl] |= 1 << sl
-
-    def _clear_class(self, fl, sl):
-        self._sl_bitmaps[fl] &= ~(1 << sl)
-        if not self._sl_bitmaps[fl]:
-            self._fl_bitmap &= ~(1 << fl)
-
-    def _insert(self, blk):
-        fl, sl = mapping_insert(blk.size)
-        head = self._heads[fl][sl]
-        blk._write_ref(_NEXT_OFF, head)
-        blk._write_ref(_PREV_LINK_OFF, None)
-        if head is not None:
-            self._block_at(head)._write_ref(_PREV_LINK_OFF, blk.off)
-        self._heads[fl][sl] = blk.off
-        self._set_class(fl, sl)
         if self.debug:
             self._touched.add((fl, sl))
 
-    def _unlink(self, blk):
-        fl, sl = mapping_insert(blk.size)
-        next_off = blk._read_ref(_NEXT_OFF)
-        prev_off = blk._read_ref(_PREV_LINK_OFF)
+    def _unlink(self, cap, off, size):
+        fl, sl = mapping_insert(size)
+        next_off = _read_link(cap, off + _NEXT_OFF)
+        prev_off = _read_link(cap, off + _PREV_LINK_OFF)
         if prev_off is None:
             self._heads[fl][sl] = next_off
         else:
-            blk._at(prev_off)._write_ref(_NEXT_OFF, next_off)
+            _write_link(self._cap(prev_off), prev_off + _NEXT_OFF, next_off)
         if next_off is not None:
-            blk._at(next_off)._write_ref(_PREV_LINK_OFF, prev_off)
+            _write_link(self._cap(next_off), next_off + _PREV_LINK_OFF, prev_off)
         if self._heads[fl][sl] is None:
-            self._clear_class(fl, sl)
+            self._sl_bitmaps[fl] &= ~(1 << sl)
+            if not self._sl_bitmaps[fl]:
+                self._fl_bitmap &= ~(1 << fl)
         if self.debug:
             self._touched.add((fl, sl))
 
@@ -297,74 +278,78 @@ class TlsfControl:
     def find_suitable_block(self, size):
         with self._lock:
             self._ensure_alive()
-            return self._find(size)
+            off = self._find(size)
+            return None if off is None else self._snapshot(off)
 
     def _find(self, size):
         fl, sl = _mapping_search(size)
         if fl < FL_COUNT:
             mask = self._sl_bitmaps[fl] & ~((1 << sl) - 1)
             if mask:
-                return self._block_at(self._heads[fl][_lsb(mask)])
+                return self._heads[fl][_lsb(mask)]
         fl_mask = self._fl_bitmap & ~((1 << (fl + 1)) - 1)
         if not fl_mask:
             return None
         fl2 = _lsb(fl_mask)
-        sl2 = _lsb(self._sl_bitmaps[fl2])
-        return self._block_at(self._heads[fl2][sl2])
+        return self._heads[fl2][_lsb(self._sl_bitmaps[fl2])]
 
     # ------------------------------------------------------------ split/merge
 
     def block_split(self, blk, size):
         with self._lock:
             self._ensure_alive()
-            out = self._split(blk, size)
+            rem = self._split(self._cap(blk.off), blk.off, size)
             self._after_op()
-            return out
+            return self._snapshot(blk.off), None if rem is None else self._snapshot(rem)
 
-    def _split(self, blk, size):
-        # blk must be free; it leaves its list and comes back allocated
-        self._unlink(blk)
-        remainder = None
-        rem_payload = blk.size - size - HEADER_SIZE
-        prev_bit = blk._sf & PREV_FREE_BIT
-        if rem_payload >= MIN_BLOCK:
-            blk._write_sf(size | prev_bit)
-            rem_off = blk.off + HEADER_SIZE + size
-            remainder = BlockRef(rem_off, blk._cap.address_set(rem_off), sf=0)
-            remainder._write_ref(0, blk.off)
-            remainder._write_sf(rem_payload | FREE_BIT)
-            nxt = blk._at(rem_off + HEADER_SIZE + rem_payload)
-            nxt._write_ref(0, rem_off)
-            nxt._write_sf(nxt._sf | PREV_FREE_BIT)
-            self._insert(remainder)
+    def _split(self, cap, off, size):
+        # off must be free; it leaves its list and comes back allocated.
+        # Returns the header offset of the free remainder, or None.
+        sf = _read(cap, off + _SF_OFF)
+        free_size = sf & ~0xF
+        self._unlink(cap, off, free_size)
+        prev_bit = sf & PREV_FREE_BIT
+        rem_size = free_size - size - HEADER_SIZE
+        if rem_size >= MIN_BLOCK:
+            # the block after the remainder already records a free predecessor
+            rem = off + HEADER_SIZE + size
+            _write(cap, off + _SF_OFF, size | prev_bit)
+            _write_link(cap, rem, off)
+            _write(cap, rem + _SF_OFF, rem_size | FREE_BIT)
+            _write_link(cap, rem + HEADER_SIZE + rem_size, rem)
+            self._insert(cap, rem, rem_size)
         else:
-            blk._write_sf(blk.size | prev_bit)  # free bit cleared, size kept
-            nxt = blk._at(blk.off + HEADER_SIZE + blk.size)
-            nxt._write_sf(nxt._sf & ~PREV_FREE_BIT)
-        self.stats.bytes_allocated += blk.size
+            rem, size = None, free_size
+            nxt = off + HEADER_SIZE + size
+            _write(cap, off + _SF_OFF, size | prev_bit)  # free bit cleared, size kept
+            _write(cap, nxt + _SF_OFF, _read(cap, nxt + _SF_OFF) & ~PREV_FREE_BIT)
+        self.stats.bytes_allocated += size
         self.stats.live_allocations += 1
-        return blk, remainder
+        return rem
 
-    def _merge(self, blk):
-        # blk is allocated and being freed; coalesce both physical neighbors
-        self.stats.bytes_allocated -= blk.size
+    def _merge(self, cap, off, sf):
+        # off is allocated, with size+flags sf, and is being freed;
+        # coalesce both physical neighbors
+        size = sf & ~0xF
+        self.stats.bytes_allocated -= size
         self.stats.live_allocations -= 1
-        size = blk.size
-        if blk.prev_free:
-            prev = blk._at(blk._read_ref(0))
-            self._unlink(prev)
-            size += HEADER_SIZE + prev.size
-            blk = prev
-        nxt = blk._at(blk.off + HEADER_SIZE + size)
-        if nxt.is_free:
-            self._unlink(nxt)
-            size += HEADER_SIZE + nxt.size
-        blk._write_sf(size | FREE_BIT)  # prev of a merged block is never free
-        nxt = blk._at(blk.off + HEADER_SIZE + size)
-        nxt._write_ref(0, blk.off)
-        nxt._write_sf(nxt._sf | PREV_FREE_BIT)
-        self._insert(blk)
-        return blk
+        if sf & PREV_FREE_BIT:
+            prev = _read_link(cap, off)
+            prev_size = _read(cap, prev + _SF_OFF) & ~0xF
+            self._unlink(cap, prev, prev_size)
+            size += HEADER_SIZE + prev_size
+            off = prev
+        nxt = off + HEADER_SIZE + size
+        nxt_sf = _read(cap, nxt + _SF_OFF)
+        if nxt_sf & FREE_BIT:
+            self._unlink(cap, nxt, nxt_sf & ~0xF)
+            size += HEADER_SIZE + (nxt_sf & ~0xF)
+            nxt = off + HEADER_SIZE + size
+            nxt_sf = _read(cap, nxt + _SF_OFF)
+        _write(cap, off + _SF_OFF, size | FREE_BIT)  # prev of a merged block is never free
+        _write_link(cap, nxt, off)
+        _write(cap, nxt + _SF_OFF, nxt_sf | PREV_FREE_BIT)
+        self._insert(cap, off, size)
 
     # ------------------------------------------------------------ malloc/free
 
@@ -372,28 +357,29 @@ class TlsfControl:
         with self._lock:
             self._ensure_alive()
             rounded = round_representable_length(size)
-            blk = self._find(rounded)
-            if blk is None:
+            off = self._find(rounded)
+            if off is None:
                 raise OutOfMemory("no free block for %d bytes" % rounded)
-            alloc, _ = self._split(blk, rounded)
-            cap = alloc._cap.address_set(alloc.payload_offset).bounds_set(rounded)
+            cap = self._cap(off)
+            self._split(cap, off, rounded)
+            payload = cap.address_set(off + HEADER_SIZE).bounds_set(rounded)
             self._after_op()
-            return cap
+            return payload
 
     def free(self, cap):
         with self._lock:
             self._ensure_alive()
-            blk = self._offset_to_block(cap)
-            if blk.is_free:
-                raise DoubleFree("block at %d already free" % blk.off)
-            self._merge(blk)
+            off = self._header_of(cap)
+            pool_cap = self._cap(off)
+            sf = _read(pool_cap, off + _SF_OFF)
+            if sf & FREE_BIT:
+                raise DoubleFree("block at %d already free" % off)
+            self._merge(pool_cap, off, sf)
             self._after_op()
 
     def payload_size(self, cap):
         """Rounded size recorded in the header of a live allocation."""
-        with self._lock:
-            self._ensure_alive()
-            return self._offset_to_block(cap).size
+        return self.offset_to_block(cap).size
 
     def destroy(self):
         """Hand every pool back for arena-level reclamation; the control is
@@ -417,9 +403,9 @@ class TlsfControl:
             bit = bool(self._sl_bitmaps[fl] >> sl & 1)
             assert bit == (head is not None), "bitmap desync at (%d, %d)" % (fl, sl)
             if head is not None:
-                blk = self._block_at(head)
-                assert blk.is_free
-                assert mapping_insert(blk.size) == (fl, sl)
+                sf = _read(self._cap(head), head + _SF_OFF)
+                assert sf & FREE_BIT
+                assert mapping_insert(sf & ~0xF) == (fl, sl)
         self._touched.clear()
         if self._op_count % 1024 == 0:
             self._check_integrity()
@@ -433,29 +419,27 @@ class TlsfControl:
         free_by_walk = {}
         allocated_bytes = 0
         allocated_count = 0
-        for p in self._pools:
-            off = p.region.base + (CONTROL_SIZE if p.has_control else 0)
-            end = p.region.base + p.size - SENTINEL_SIZE
+        for cap in self._caps:
+            off, end = cap.base, cap.top - SENTINEL_SIZE
             prev_off = None
             prev_was_free = False
             while off < end:
-                blk = self._block_at(off)
-                assert blk.size >= MIN_BLOCK and blk.size % ALIGN == 0
-                assert blk.prev_free == prev_was_free
-                assert blk._read_ref(0) == prev_off
-                assert not (prev_was_free and blk.is_free), "unmerged neighbors"
-                if blk.is_free:
-                    free_by_walk[off] = blk.size
+                sf = _read(cap, off + _SF_OFF)
+                size, is_free = sf & ~0xF, bool(sf & FREE_BIT)
+                assert size >= MIN_BLOCK and size % ALIGN == 0
+                assert bool(sf & PREV_FREE_BIT) == prev_was_free
+                assert _read_link(cap, off) == prev_off
+                assert not (prev_was_free and is_free), "unmerged neighbors"
+                if is_free:
+                    free_by_walk[off] = size
                 else:
-                    allocated_bytes += blk.size
+                    allocated_bytes += size
                     allocated_count += 1
-                prev_off, prev_was_free = off, blk.is_free
-                off += HEADER_SIZE + blk.size
+                prev_off, prev_was_free = off, is_free
+                off += HEADER_SIZE + size
             assert off == end, "walk must land on the sentinel"
-            sentinel = self._block_at(off)
-            assert sentinel.size == 0
-            assert sentinel.prev_free == prev_was_free
-            assert sentinel._read_ref(0) == prev_off
+            assert _read(cap, off + _SF_OFF) == (PREV_FREE_BIT if prev_was_free else 0)
+            assert _read_link(cap, off) == prev_off
         listed = {}
         for fl in range(FL_COUNT):
             for sl in range(SL_COUNT):
@@ -468,16 +452,16 @@ class TlsfControl:
                 while off is not None:
                     steps += 1
                     assert steps <= len(free_by_walk) + 1, "free-list cycle"
-                    blk = self._block_at(off)
+                    blk = self._snapshot(off)
                     assert blk.is_free
                     assert mapping_insert(blk.size) == (fl, sl)
-                    assert blk._read_ref(_PREV_LINK_OFF) == prev_link
+                    link_cap = self._cap(off)
+                    assert _read_link(link_cap, off + _PREV_LINK_OFF) == prev_link
                     assert off not in listed
                     listed[off] = blk.size
                     prev_link = off
-                    off = blk._read_ref(_NEXT_OFF)
+                    off = _read_link(link_cap, off + _NEXT_OFF)
         assert listed == free_by_walk, "free lists and physical walk disagree"
-        assert bool(self._fl_bitmap) == bool(free_by_walk) or self._fl_bitmap >= 0
         assert self.stats.bytes_allocated == allocated_bytes
         assert self.stats.live_allocations == allocated_count
         assert self.stats.bytes_reserved == sum(p.size for p in self._pools)
@@ -488,10 +472,9 @@ def tlsf_create_with_pool(region, size, max_pool_size=DEFAULT_MAX_POOL_SIZE, deb
     control area becomes one free block."""
     if max_pool_size > 1 << 31:
         raise ValueError("max pool size must stay below 2 GiB")
-    ctrl = TlsfControl(region, max_pool_size, debug)
+    ctrl = TlsfControl(max_pool_size, debug)
     ctrl._validate_pool(region, size, minimum=CONTROL_SIZE + POOL_OVERHEAD + MIN_BLOCK)
-    narrowed = region.bounds_set(size)
-    ctrl._init_pool(narrowed, size, has_control=True)
+    ctrl._init_pool(region, size, has_control=True)
     if debug:
         ctrl._check_integrity()
     return ctrl

@@ -99,12 +99,17 @@ class ExtentOracle:
         self.extents.remove((cap.base, cap.top))
 
 
-def run_differential(seed, ops, arena_size=8 * MIB, pool_size=1 * MIB):
+def run_differential(seed, ops, arena_size=8 * MIB, pool_size=1 * MIB, pools=1):
+    """Random malloc/free/realloc against the extent oracle.  Pools after
+    the first are reserved and handed to ``add_pool`` one by one."""
     rng = random.Random(seed)
     arena = MemoryArena(arena_size)
     region = arena.reserve(pool_size)
     root = arena.root.address_set(region.base).bounds_set(region.length)
     ctrl = tlsf_create_with_pool(root, pool_size, debug=True)
+    for _ in range(pools - 1):
+        region = arena.reserve(pool_size)
+        ctrl.add_pool(arena.root.address_set(region.base).bounds_set(region.length), pool_size)
     oracle = ExtentOracle([(p.region.base, p.region.base + p.size) for p in ctrl.pools])
     live = []  # (cap, fill byte)
     counter = 0
@@ -150,5 +155,5 @@ def run_differential(seed, ops, arena_size=8 * MIB, pool_size=1 * MIB):
     ctrl.check()
     assert ctrl.stats.live_allocations == 0
     assert ctrl.stats.bytes_allocated == 0
-    assert free_bytes_by_walk(arena, ctrl) == pool_size - CONTROL_SIZE - POOL_OVERHEAD
+    assert free_bytes_by_walk(arena, ctrl) == pools * (pool_size - POOL_OVERHEAD) - CONTROL_SIZE
     return ctrl

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from capdomains import server as server_mod
 from capdomains.cli import build_parser, main
 from capdomains.server import GuardServer, ServerConfig
 
@@ -63,13 +64,16 @@ def test_serve_until_shutdown_request():
     sock.close()
 
 
-def test_serve_exits_nonzero_when_the_worker_dies(capsys):
-    # a 512 KiB request buffer cannot come from the 256 KiB parse heap
+def test_serve_exits_nonzero_when_the_worker_dies(capsys, monkeypatch):
+    def crash(data, buf):
+        raise RuntimeError("parser crashed")
+
+    monkeypatch.setattr(server_mod, "parse_request_line", crash)
     port = free_port()
     rc = {}
 
     def run():
-        rc["value"] = main(["serve", "--port", str(port), "--buf-len", "524288"])
+        rc["value"] = main(["serve", "--port", str(port)])
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
@@ -82,12 +86,22 @@ def test_serve_exits_nonzero_when_the_worker_dies(capsys):
         except OSError:
             time.sleep(0.05)
     assert sock is not None, "serve never started listening"
-    sock.sendall(b"GET /big\n")
+    sock.sendall(b"GET /x\n")
     assert sock.recv(1) == b""
     sock.close()
     thread.join(timeout=5)
     assert rc.get("value") == 1
-    assert "OutOfMemory" in capsys.readouterr().err
+    assert "RuntimeError: parser crashed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
+def test_serve_refuses_a_buffer_that_can_never_be_served(mode, capsys):
+    # 512 KiB buffers fit neither the baseline slab nor a 256 KiB heap
+    rc = main(["serve", "--port", "0", "--mode", mode, "--buf-len", "524288"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "listening on" not in out
+    assert err.startswith("error: ") and "--buf-len" in err
 
 
 def test_bench_and_attack_commands(tmp_path, capsys):

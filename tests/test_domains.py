@@ -338,6 +338,27 @@ def test_pool_chaining_counts(monkeypatch):
         mgr.exit()
 
 
+def test_free_list_spanning_two_pools_is_served(monkeypatch):
+    # a well-behaved routine whose free list links a block in one pool to a
+    # block in the other must not be discarded as if it had overflowed
+    monkeypatch.delenv("APP_HEAP_SIZE", raising=False)
+    mgr = DomainManager(arena_size=1 * MIB, default_heap_size=128 * KIB,
+                        max_pool_size=64 * KIB)
+
+    def routine():
+        caps = [mgr.dalloc(100) for _ in range(600)]
+        first, second = mgr.heap_of(1).pools
+        in_first = [c for c in caps if c.base < first.region.base + first.size]
+        in_second = [c for c in caps if c.base >= second.region.base]
+        assert in_first and in_second
+        mgr.dfree(in_first[0])
+        mgr.dfree(in_second[0])  # same class: its next link leads into the first pool
+        again = mgr.dalloc(100)
+        return again.base == in_second[0].base
+
+    assert mgr.domain_call(1, routine) == Normal(True)
+
+
 def test_heap_init_arena_exhaustion_is_fatal(monkeypatch):
     monkeypatch.setenv("APP_HEAP_SIZE", str(64 * MIB))
     mgr = DomainManager(arena_size=1 * MIB)

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from capdomains.capmem import ArenaExhausted, BoundsViolation
+from capdomains import server as server_mod
+from capdomains.capmem import BoundsViolation
 from capdomains.domains import DomainManager
 from capdomains.server import (
     GuardServer,
@@ -15,7 +16,6 @@ from capdomains.server import (
     ServerConfig,
     parse_request_line,
 )
-from capdomains.tlsf import OutOfMemory
 
 
 def connect(port):
@@ -46,6 +46,14 @@ def read_response(sock):
 def roundtrip(sock, line):
     sock.sendall(line)
     return read_response(sock)
+
+
+def free_port():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
 
 
 def stats_fields(sock):
@@ -376,25 +384,37 @@ def test_stop_is_idempotent():
     assert not srv.alive
 
 
-@pytest.mark.parametrize(
-    "mode, cause",
-    [("baseline", ArenaExhausted), ("tlsf", OutOfMemory), ("domains", OutOfMemory)],
-)
-def test_worker_death_has_a_recorded_cause(mode, cause):
-    # 64 connection slots of 512 KiB overflow the baseline arena at start-up;
-    # the allocating modes cannot fit one such buffer in their 256 KiB heap
-    srv = start_server(mode, header_buf_len=512 * 1024)
+@pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
+def test_start_refuses_a_buffer_that_can_never_be_served(mode):
+    # 64 connection slots of 512 KiB overflow the baseline arena; the
+    # allocating modes cannot fit one such buffer in their 256 KiB heap
+    port = free_port()
+    srv = GuardServer(ServerConfig(listen_port=port, mode=mode, payload_size=128,
+                                   header_buf_len=512 * 1024))
+    with pytest.raises(ValueError, match=f"{mode} mode .*--buf-len"):
+        srv.start()
+    assert srv.port is None and not srv.alive
+    with pytest.raises(OSError):
+        connect(port)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
+def test_worker_death_has_a_recorded_cause(mode, monkeypatch):
+    boom = RuntimeError("parser crashed")
+
+    def crash(data, buf):
+        raise boom
+
+    monkeypatch.setattr(server_mod, "parse_request_line", crash)
+    srv = start_server(mode)
     try:
-        try:
-            sock = connect(srv.port)
-            sock.sendall(b"GET /big\n")
-            assert read_response(sock) is None
-            sock.close()
-        except OSError:
-            pass  # the listener is already closed
+        sock = connect(srv.port)
+        sock.sendall(b"GET /x\n")
+        assert read_response(sock) is None
+        sock.close()
         srv.join(timeout=5)
         assert not srv.alive
-        assert isinstance(srv.fatal, cause)
+        assert srv.fatal is boom
         with pytest.raises(OSError):
             connect(srv.port)
     finally:

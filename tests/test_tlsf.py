@@ -319,6 +319,9 @@ def test_destroy_returns_all_pools():
 def test_differential_random_ops():
     for seed in (1, 2):
         run_differential(seed, 10_000)
+    # the fresh blocks of two 1 MiB pools share a class, so the first
+    # malloc already follows a free-list link from one pool into the other
+    run_differential(3, 10_000, pools=2)
 
 
 def test_lock_serializes_concurrent_callers():
