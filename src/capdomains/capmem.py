@@ -188,7 +188,7 @@ class Capability:
         addr = self.address + offset
         if length and (addr < self.base or addr + length > self.top or length < 0):
             raise BoundsViolation(addr, length)
-        return bytes(self._arena._mem[addr : addr + length])
+        return bytes(self._arena._view[addr : addr + length])
 
 
 class MemoryArena:
@@ -204,6 +204,9 @@ class MemoryArena:
             raise ValueError("arena size must be positive")
         self.size = size
         self._mem = bytearray(size)
+        # loads copy once, out of this view; it also pins _mem's size, which
+        # stores (equal-length slice assignments) never change
+        self._view = memoryview(self._mem)
         self._regions = []  # sorted by base
         self._next_rid = 1
         self.root = Capability(self, 0, 0, size, PERM_RW, True)

@@ -30,6 +30,17 @@ Wire protocol, one line per request, keep-alive:
 Two control lines bypass the vulnerable parser: ``STATS\\n`` answers with
 a key=value counters body, ``SHUTDOWN\\n`` drains and stops the worker.
 Neither is counted in the request statistics.
+
+Replies are queued per connection and go out in one non-blocking write per
+read: every complete line of one ``recv`` is answered first, so a pipelined
+batch costs one ``send``, not one per line.  Whatever the socket does not
+take stays queued and the connection waits for it to drain before it is
+read again.  A client that does not read its replies is therefore paused,
+not served into an unbounded queue: no more of its lines are answered once
+``OUT_HIGH_WATER`` bytes wait for it, and the other connections keep being
+served.  ``served`` and ``bytes_out`` count a reply when it is queued.  A
+line longer than ``MAX_LINE`` drops its connection and counts in
+``overlong``.
 """
 
 import functools
@@ -54,6 +65,9 @@ PARSE_DOMAIN_UDI = 1  # single nested domain reserved for request parsing
 # enough for any benign request line; attacks must exceed it
 DEFAULT_HEADER_BUF_LEN = 64
 MAX_LINE = 64 * 1024  # reads beyond this without a newline are protocol abuse
+# queued reply bytes at which a connection's lines stop being answered until
+# the client reads; bounds what one non-reading client can make the worker hold
+OUT_HIGH_WATER = 256 * 1024
 
 
 class ParseError(Exception):
@@ -72,6 +86,7 @@ class ConnectionStats:
     served: int = 0
     rejected_malicious: int = 0
     bytes_out: int = 0
+    overlong: int = 0
 
 
 @dataclass(frozen=True)
@@ -138,11 +153,15 @@ class _FixedBufPool:
 
 
 class _Conn:
-    __slots__ = ("sock", "rbuf", "buf", "pending_line", "parse_job")
+    __slots__ = ("sock", "rbuf", "out", "out_len", "events", "buf", "pending_line",
+                 "parse_job")
 
     def __init__(self, sock):
         self.sock = sock
         self.rbuf = bytearray()
+        self.out: list = []  # reply frames, oldest first; a partly sent one as a memoryview
+        self.out_len = 0
+        self.events = selectors.EVENT_READ  # READ, or WRITE while ``out`` holds a tail
         self.buf: Optional[Capability] = None
         self.pending_line = b""
         self.parse_job = None
@@ -270,22 +289,50 @@ class GuardServer:
         conns: Dict[socket.socket, _Conn] = {}
         shutting_down = False
 
-        def bump(served=0, rejected=0, out=0):
+        def bump(served=0, rejected=0, out=0, overlong=0):
             with self._stats_lock:
                 self._stats.served += served
                 self._stats.rejected_malicious += rejected
                 self._stats.bytes_out += out
+                self._stats.overlong += overlong
 
-        def send(conn: _Conn, payload: bytes) -> bool:
-            try:
-                conn.sock.setblocking(True)
-                conn.sock.sendall(payload)
-                conn.sock.setblocking(False)
-                return True
-            except OSError:
-                return False
+        def send(conn: _Conn, frame: bytes) -> None:
+            conn.out.append(frame)
+            conn.out_len += len(frame)
+
+        def flush(conn: _Conn) -> None:
+            """One non-blocking send of every queued frame.  An unsent tail
+            stays queued, and the connection then waits to be writable rather
+            than readable until the tail is gone."""
+            out = conn.out
+            if out:
+                data = out[0] if len(out) == 1 else b"".join(out)
+                try:
+                    sent = conn.sock.send(data)
+                except BlockingIOError:
+                    sent = 0
+                except OSError:
+                    out.clear()
+                    close_conn(conn)
+                    return
+                out.clear()
+                conn.out_len = len(data) - sent
+                if conn.out_len:
+                    out.append(memoryview(data)[sent:])
+            events = selectors.EVENT_WRITE if out else selectors.EVENT_READ
+            if events != conn.events:
+                sel.modify(conn.sock, events, conn)
+                conn.events = events
 
         def close_conn(conn: _Conn) -> None:
+            if conn.out:
+                # best effort, so replies to the lines before a dropped one
+                # still arrive ahead of the close
+                try:
+                    conn.sock.send(b"".join(conn.out))
+                except OSError:
+                    pass
+                conn.out.clear()
             try:
                 sel.unregister(conn.sock)
             except (KeyError, ValueError):
@@ -312,7 +359,7 @@ class GuardServer:
                 f"mode={cfg.mode} payload={cfg.payload_size} "
                 f"served={snap.served} rejected={snap.rejected_malicious} "
                 f"bytes_out={snap.bytes_out} reserved={arena.reserved_bytes} "
-                f"heap_generation={gen} alive=1"
+                f"heap_generation={gen} alive=1 overlong={snap.overlong}"
             )
             return text.encode("ascii")
 
@@ -322,11 +369,9 @@ class GuardServer:
 
         def respond_err(conn: _Conn, reason: str) -> None:
             frame = b"ERR " + reason.encode("ascii") + b"\n"
-            if send(conn, frame):
-                # answered is answered: malformed requests count as served
-                bump(served=1, out=len(frame))
-            else:
-                close_conn(conn)
+            send(conn, frame)
+            # answered is answered: malformed requests count as served
+            bump(served=1, out=len(frame))
 
         def make_parse_job(conn: _Conn):
             # built once per connection so the per-request path allocates
@@ -358,10 +403,36 @@ class GuardServer:
                     other.buf = None
                 close_conn(conn)
                 return
-            if send(conn, ok_frame):
-                bump(served=1, out=ok_frame_len)
-            else:
-                close_conn(conn)
+            send(conn, ok_frame)
+            bump(served=1, out=ok_frame_len)
+
+        def answer(conn: _Conn) -> None:
+            """Answer the complete lines in ``rbuf``, then flush.  Lines stop
+            being taken at ``OUT_HIGH_WATER`` queued bytes and resume once a
+            flush has sent everything."""
+            rbuf = conn.rbuf
+            while True:
+                start = 0
+                nl = rbuf.find(b"\n")
+                while nl >= 0 and conn.out_len < OUT_HIGH_WATER and not shutting_down:
+                    line = bytes(rbuf[start : nl + 1])
+                    start = nl + 1
+                    try:
+                        handle_line(conn, line)
+                    except ParseError as exc:
+                        respond_err(conn, str(exc).replace(" ", "-"))
+                    if conn.sock not in conns:
+                        return
+                    nl = rbuf.find(b"\n", start)
+                del rbuf[:start]
+                if nl < 0 and len(rbuf) > MAX_LINE:
+                    log.info("connection dropped: %d bytes without a newline", len(rbuf))
+                    bump(overlong=1)
+                    close_conn(conn)
+                    return
+                flush(conn)
+                if nl < 0 or conn.out or shutting_down or conn.sock not in conns:
+                    return
 
         def pump(conn: _Conn) -> None:
             try:
@@ -375,20 +446,7 @@ class GuardServer:
                 close_conn(conn)
                 return
             conn.rbuf += data
-            while not shutting_down:
-                nl = conn.rbuf.find(b"\n")
-                if nl < 0:
-                    if len(conn.rbuf) > MAX_LINE:
-                        close_conn(conn)
-                    return
-                line = bytes(conn.rbuf[: nl + 1])
-                del conn.rbuf[: nl + 1]
-                try:
-                    handle_line(conn, line)
-                except ParseError as exc:
-                    respond_err(conn, str(exc).replace(" ", "-"))
-                if conn.sock not in conns:
-                    return
+            answer(conn)
 
         try:
             sel.register(self._listener, selectors.EVENT_READ, "accept")
@@ -409,12 +467,18 @@ class GuardServer:
                             sock.close()
                             continue
                         sock.setblocking(False)
+                        # every write is whole frames, so Nagle could only delay them
+                        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                         conn = _Conn(sock)
                         conn.parse_job = make_parse_job(conn)
                         conns[sock] = conn
                         sel.register(sock, selectors.EVENT_READ, conn)
-                    else:
+                    elif key.data.events == selectors.EVENT_READ:
                         pump(key.data)
+                    else:
+                        # chosen by interest, not by the reported events: a
+                        # hang-up or error reads as both readable and writable
+                        answer(key.data)
         except (ProtectionFault, MainDomainFault) as exc:
             # the unguarded contrast case: the worker context dies here
             self.fatal = exc

@@ -2,6 +2,7 @@
 
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -319,6 +320,133 @@ def test_closing_a_connection_that_survived_an_abort():
         assert srv.alive and srv.fatal is None
         b.close()
         d.close()
+    finally:
+        srv.stop()
+        srv.join()
+
+
+# ---------------------------------------------------------------- send path
+
+def read_exactly(sock, n):
+    data = bytearray()
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return bytes(data)
+
+
+def test_pipelined_batches_are_answered_in_order_without_stalling():
+    # replies to one batch used to go out one write each on a Nagle socket,
+    # and every batch waited about 40 ms for the client's delayed ACK
+    srv = start_server("domains", payload_size=0)
+    try:
+        sock = connect(srv.port)
+        err = b"ERR expected-exactly-METHOD-SP-PATH\n"
+        t0 = time.perf_counter()
+        for rnd in range(50):
+            lines = [b"GET /p\n"] * 16
+            lines[rnd % 16] = b"BAD\n"
+            sock.sendall(b"".join(lines))
+            want = b"".join(err if line == b"BAD\n" else b"OK 0\n" for line in lines)
+            assert read_exactly(sock, len(want)) == want
+        elapsed = time.perf_counter() - t0
+        sock.close()
+        assert elapsed < 1.0, f"50 pipelined rounds took {elapsed:.2f} s"
+    finally:
+        srv.stop()
+        srv.join()
+
+
+def test_replies_to_one_read_share_a_write(monkeypatch):
+    writes = []
+
+    def counted(name):
+        original = getattr(socket.socket, name)
+
+        def call(self, *args):
+            if threading.current_thread().name.startswith("guard-"):
+                writes.append(name)
+            return original(self, *args)
+
+        return call
+
+    for name in ("send", "sendall"):
+        monkeypatch.setattr(socket.socket, name, counted(name))
+    srv = start_server("domains", payload_size=128)
+    try:
+        sock = connect(srv.port)
+        sock.sendall(b"GET /w\n" * 16)
+        for _ in range(16):
+            kind, want, body = read_response(sock)
+            assert (kind, want, len(body)) == (b"OK", 128, 128)
+        sock.close()
+    finally:
+        srv.stop()
+        srv.join()
+    assert 0 < len(writes) < 16, f"{len(writes)} server writes for 16 replies"
+
+
+def test_attack_mid_batch_answers_the_lines_before_it():
+    srv = start_server("domains")
+    try:
+        sock = connect(srv.port)
+        sock.sendall(b"GET /a\n" * 3 + ATTACK + b"GET /b\n")
+        for _ in range(3):
+            kind, want, body = read_response(sock)
+            assert (kind, want, len(body)) == (b"OK", 128, 128)
+        assert read_response(sock) is None, "the attacked connection must drop"
+        sock.close()
+        assert srv.alive
+    finally:
+        srv.stop()
+        srv.join()
+
+
+def test_a_client_that_never_reads_stalls_only_itself():
+    srv = start_server("domains", payload_size=16384)
+    hog = connect(srv.port)
+    try:
+        hog.sendall(b"GET /hog\n" * 4000)
+        other = connect(srv.port)
+        for _ in range(20):
+            t0 = time.perf_counter()
+            kind, want, _ = roundtrip(other, b"GET /other\n")
+            assert (kind, want) == (b"OK", 16384)
+            assert time.perf_counter() - t0 < 1.0
+        other.close()
+        # the paused client still gets every reply, whole and in order
+        frame = b"OK 16384\n" + server_mod._payload_body(16384)
+        total, pos = 4000 * len(frame), 0
+        while pos < total:
+            chunk = hog.recv(1 << 16)
+            assert chunk, f"EOF after {pos} of {total} bytes"
+            off = pos % len(frame)
+            periodic = frame[off:] + frame * (len(chunk) // len(frame) + 1)
+            assert chunk == periodic[: len(chunk)]
+            pos += len(chunk)
+        assert int(stats_fields(hog)[b"served"]) == 4020
+    finally:
+        hog.close()
+        srv.stop()
+        srv.join()
+
+
+def test_overlong_line_drops_the_connection_and_is_counted():
+    srv = start_server("domains")
+    try:
+        sock = connect(srv.port)
+        sock.sendall(b"G" * (70 * 1024))
+        try:
+            assert sock.recv(1) == b""
+        except ConnectionResetError:
+            pass  # the close raced the last bytes in; dropped either way
+        sock.close()
+        with connect(srv.port) as probe:
+            fields = stats_fields(probe)
+        assert fields[b"overlong"] == b"1"
+        assert fields[b"served"] == b"0" and fields[b"rejected"] == b"0"
     finally:
         srv.stop()
         srv.join()
