@@ -31,16 +31,17 @@ Two control lines bypass the vulnerable parser: ``STATS\\n`` answers with
 a key=value counters body, ``SHUTDOWN\\n`` drains and stops the worker.
 Neither is counted in the request statistics.
 
-Replies are queued per connection and go out in one non-blocking write per
-read: every complete line of one ``recv`` is answered first, so a pipelined
-batch costs one ``send``, not one per line.  Whatever the socket does not
-take stays queued and the connection waits for it to drain before it is
-read again.  A client that does not read its replies is therefore paused,
-not served into an unbounded queue: no more of its lines are answered once
-``OUT_HIGH_WATER`` bytes wait for it, and the other connections keep being
-served.  ``served`` and ``bytes_out`` count a reply when it is queued.  A
-line longer than ``MAX_LINE`` drops its connection and counts in
-``overlong``.
+Each connection has one outbound byte queue.  Every complete line of one
+``recv`` is answered onto it first, and then one non-blocking ``send`` takes
+what the socket will, so a pipelined batch costs one write, not one per
+line.  Whatever the socket does not take stays at the queue's head and the
+connection waits for it to drain before it is read again.  A client that
+does not read its replies is therefore paused, not served into an unbounded
+queue: no more of its lines are answered once ``OUT_HIGH_WATER`` bytes wait
+for it, and the other connections keep being served.  ``served`` and
+``bytes_out`` count a reply when it is queued.  A line longer than
+``MAX_LINE`` drops its connection and counts in ``overlong``.  Besides
+``SHUTDOWN``, the worker stops on one signal: a byte on its wake-up socket.
 """
 
 import functools
@@ -68,6 +69,9 @@ MAX_LINE = 64 * 1024  # reads beyond this without a newline are protocol abuse
 # queued reply bytes at which a connection's lines stop being answered until
 # the client reads; bounds what one non-reading client can make the worker hold
 OUT_HIGH_WATER = 256 * 1024
+HEAP_SIZE = 256 * 1024  # the tlsf worker heap and the domains parse heap
+ARENA_SIZE = 4 * 1024 * 1024
+MAX_CONNECTIONS = 64  # listen backlog, open-connection cap, baseline buffer slots
 
 
 class ParseError(Exception):
@@ -95,7 +99,6 @@ class ServerConfig:
     mode: str
     payload_size: int
     header_buf_len: int = DEFAULT_HEADER_BUF_LEN
-    max_connections: int = 64
     host: str = "127.0.0.1"
 
     def __post_init__(self):
@@ -153,15 +156,13 @@ class _FixedBufPool:
 
 
 class _Conn:
-    __slots__ = ("sock", "rbuf", "out", "out_len", "events", "buf", "pending_line",
-                 "parse_job")
+    __slots__ = ("sock", "rbuf", "out", "writing", "buf", "pending_line", "parse_job")
 
     def __init__(self, sock):
         self.sock = sock
         self.rbuf = bytearray()
-        self.out: list = []  # reply frames, oldest first; a partly sent one as a memoryview
-        self.out_len = 0
-        self.events = selectors.EVENT_READ  # READ, or WRITE while ``out`` holds a tail
+        self.out = bytearray()  # queued reply bytes the socket has not taken yet
+        self.writing = False  # registered for EVENT_WRITE, not READ, while a tail waits
         self.buf: Optional[Capability] = None
         self.pending_line = b""
         self.parse_job = None
@@ -180,15 +181,13 @@ class GuardServer:
 
     :meth:`start` builds the arena, allocator, and (in domains mode) the
     domain manager and hands them to the worker; nothing else touches them
-    after that.  Tests and the benchmark talk to the server over its socket
-    or through :meth:`stats_snapshot`.
+    after that.  :meth:`stop` wakes the worker, which closes every socket of
+    the server on its way out.  Tests and the benchmark talk to the server
+    over its socket or through :meth:`stats_snapshot`.
     """
 
-    def __init__(self, config: ServerConfig, heap_size: int = 256 * 1024,
-                 arena_size: int = 4 * 1024 * 1024):
+    def __init__(self, config: ServerConfig):
         self.config = config
-        self.heap_size = heap_size
-        self.arena_size = arena_size
         self.port: Optional[int] = None
         self.fatal: Optional[BaseException] = None
         self._stats = ConnectionStats()
@@ -197,7 +196,6 @@ class GuardServer:
         self._listener: Optional[socket.socket] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
-        self._stop_flag = threading.Event()
         self._payload = _payload_body(config.payload_size)
 
     # ------------------------------------------------------------ lifecycle
@@ -210,19 +208,18 @@ class GuardServer:
         state = self._mode_state()
         self._listener = socket.create_server(
             (self.config.host, self.config.listen_port),
-            backlog=self.config.max_connections,
+            backlog=MAX_CONNECTIONS,
         )
         self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
         self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
         self._thread = threading.Thread(
             target=self._worker, args=state, name=f"guard-{self.config.mode}", daemon=True
         )
         self._thread.start()
 
     def stop(self) -> None:
-        self._stop_flag.set()
+        """Wake the worker to exit; a no-op before start and after the exit."""
         if self._wake_w is not None:
             try:
                 self._wake_w.send(b"\x00")
@@ -251,8 +248,7 @@ class GuardServer:
         manager: Optional[DomainManager] = None
         try:
             if cfg.mode == "domains":
-                manager = DomainManager(arena_size=self.arena_size,
-                                        default_heap_size=self.heap_size)
+                manager = DomainManager(arena_size=ARENA_SIZE, default_heap_size=HEAP_SIZE)
                 arena = manager.arena
                 malloc = manager.dalloc  # the parse job runs inside the parse domain
 
@@ -264,13 +260,13 @@ class GuardServer:
 
                 manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(malloc(buf_len)))
             else:
-                arena = MemoryArena(self.arena_size)
+                arena = MemoryArena(ARENA_SIZE)
                 if cfg.mode == "tlsf":
-                    region = arena.reserve(self.heap_size, tag="worker-heap")
+                    region = arena.reserve(HEAP_SIZE, tag="worker-heap")
                     heap_cap = arena.root.address_set(region.base).bounds_set(region.length)
-                    heap = tlsf_create_with_pool(heap_cap, self.heap_size)
+                    heap = tlsf_create_with_pool(heap_cap, HEAP_SIZE)
                 else:
-                    heap = _FixedBufPool(arena, buf_len, cfg.max_connections)
+                    heap = _FixedBufPool(arena, buf_len, MAX_CONNECTIONS)
                 malloc, free = heap.malloc, heap.free
 
                 def contain(job):
@@ -296,43 +292,32 @@ class GuardServer:
                 self._stats.bytes_out += out
                 self._stats.overlong += overlong
 
-        def send(conn: _Conn, frame: bytes) -> None:
-            conn.out.append(frame)
-            conn.out_len += len(frame)
-
         def flush(conn: _Conn) -> None:
-            """One non-blocking send of every queued frame.  An unsent tail
+            """One non-blocking send of the queued bytes.  An unsent tail
             stays queued, and the connection then waits to be writable rather
             than readable until the tail is gone."""
-            out = conn.out
-            if out:
-                data = out[0] if len(out) == 1 else b"".join(out)
+            if conn.out:
                 try:
-                    sent = conn.sock.send(data)
+                    del conn.out[: conn.sock.send(conn.out)]
                 except BlockingIOError:
-                    sent = 0
+                    pass
                 except OSError:
-                    out.clear()
+                    conn.out.clear()
                     close_conn(conn)
                     return
-                out.clear()
-                conn.out_len = len(data) - sent
-                if conn.out_len:
-                    out.append(memoryview(data)[sent:])
-            events = selectors.EVENT_WRITE if out else selectors.EVENT_READ
-            if events != conn.events:
+            if conn.writing != bool(conn.out):
+                conn.writing = not conn.writing
+                events = selectors.EVENT_WRITE if conn.writing else selectors.EVENT_READ
                 sel.modify(conn.sock, events, conn)
-                conn.events = events
 
         def close_conn(conn: _Conn) -> None:
             if conn.out:
                 # best effort, so replies to the lines before a dropped one
                 # still arrive ahead of the close
                 try:
-                    conn.sock.send(b"".join(conn.out))
+                    conn.sock.send(conn.out)
                 except OSError:
                     pass
-                conn.out.clear()
             try:
                 sel.unregister(conn.sock)
             except (KeyError, ValueError):
@@ -367,12 +352,6 @@ class GuardServer:
         ok_frame = b"OK %d\n" % len(self._payload) + self._payload
         ok_frame_len = len(ok_frame)
 
-        def respond_err(conn: _Conn, reason: str) -> None:
-            frame = b"ERR " + reason.encode("ascii") + b"\n"
-            send(conn, frame)
-            # answered is answered: malformed requests count as served
-            bump(served=1, out=len(frame))
-
         def make_parse_job(conn: _Conn):
             # built once per connection so the per-request path allocates
             # nothing beyond what the parse itself needs
@@ -387,10 +366,10 @@ class GuardServer:
             nonlocal shutting_down
             if line == b"STATS\n":
                 frame_body = stats_body()
-                send(conn, b"OK %d\n" % len(frame_body) + frame_body)
+                conn.out += b"OK %d\n" % len(frame_body) + frame_body
                 return
             if line == b"SHUTDOWN\n":
-                send(conn, b"OK 3\nbye")
+                conn.out += b"OK 3\nbye"
                 shutting_down = True
                 return
             conn.pending_line = line
@@ -403,7 +382,7 @@ class GuardServer:
                     other.buf = None
                 close_conn(conn)
                 return
-            send(conn, ok_frame)
+            conn.out += ok_frame
             bump(served=1, out=ok_frame_len)
 
         def answer(conn: _Conn) -> None:
@@ -414,13 +393,16 @@ class GuardServer:
             while True:
                 start = 0
                 nl = rbuf.find(b"\n")
-                while nl >= 0 and conn.out_len < OUT_HIGH_WATER and not shutting_down:
+                while nl >= 0 and len(conn.out) < OUT_HIGH_WATER and not shutting_down:
                     line = bytes(rbuf[start : nl + 1])
                     start = nl + 1
                     try:
                         handle_line(conn, line)
                     except ParseError as exc:
-                        respond_err(conn, str(exc).replace(" ", "-"))
+                        frame = b"ERR %s\n" % str(exc).replace(" ", "-").encode("ascii")
+                        conn.out += frame
+                        # answered is answered: malformed requests count as served
+                        bump(served=1, out=len(frame))
                     if conn.sock not in conns:
                         return
                     nl = rbuf.find(b"\n", start)
@@ -434,36 +416,19 @@ class GuardServer:
                 if nl < 0 or conn.out or shutting_down or conn.sock not in conns:
                     return
 
-        def pump(conn: _Conn) -> None:
-            try:
-                data = conn.sock.recv(65536)
-            except BlockingIOError:
-                return
-            except OSError:
-                close_conn(conn)
-                return
-            if not data:
-                close_conn(conn)
-                return
-            conn.rbuf += data
-            answer(conn)
-
         try:
             sel.register(self._listener, selectors.EVENT_READ, "accept")
             sel.register(self._wake_r, selectors.EVENT_READ, "wake")
-            while not shutting_down and not self._stop_flag.is_set():
-                for key, _ in sel.select(timeout=0.5):
+            while not shutting_down:
+                for key, _ in sel.select():
                     if key.data == "wake":
-                        try:
-                            self._wake_r.recv(4096)
-                        except OSError:
-                            pass
+                        shutting_down = True
                     elif key.data == "accept":
                         try:
                             sock, _addr = self._listener.accept()
                         except OSError:
                             continue
-                        if len(conns) >= self.config.max_connections:
+                        if len(conns) >= MAX_CONNECTIONS:
                             sock.close()
                             continue
                         sock.setblocking(False)
@@ -473,12 +438,23 @@ class GuardServer:
                         conn.parse_job = make_parse_job(conn)
                         conns[sock] = conn
                         sel.register(sock, selectors.EVENT_READ, conn)
-                    elif key.data.events == selectors.EVENT_READ:
-                        pump(key.data)
-                    else:
+                    elif key.data.writing:
                         # chosen by interest, not by the reported events: a
                         # hang-up or error reads as both readable and writable
                         answer(key.data)
+                    else:
+                        conn = key.data
+                        try:
+                            data = conn.sock.recv(65536)
+                        except BlockingIOError:
+                            continue
+                        except OSError:
+                            data = b""  # a reset reads as a hang-up
+                        if data:
+                            conn.rbuf += data
+                            answer(conn)
+                        else:
+                            close_conn(conn)
         except (ProtectionFault, MainDomainFault) as exc:
             # the unguarded contrast case: the worker context dies here
             self.fatal = exc
@@ -497,7 +473,7 @@ class GuardServer:
             for conn in list(conns.values()):
                 close_conn(conn)
             sel.close()
-            for s in (self._listener, self._wake_r):
+            for s in (self._listener, self._wake_r, self._wake_w):
                 try:
                     s.close()
                 except OSError:

@@ -1,9 +1,11 @@
 """Wire protocol, parse vulnerability, and per-mode fault behavior of the server."""
 
+import gc
 import random
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -433,6 +435,30 @@ def test_a_client_that_never_reads_stalls_only_itself():
         srv.join()
 
 
+def test_a_reader_that_hangs_up_with_replies_queued_is_closed():
+    srv = start_server("domains", payload_size=16384)
+    try:
+        with connect(srv.port) as probe:
+            reserved = stats_fields(probe)[b"reserved"]
+        # closing with replies unread makes the kernel reset the connection,
+        # so the worker's next write to it fails
+        hog = connect(srv.port)
+        hog.sendall(b"GET /x\n" * 4000)
+        hog.close()
+        with connect(srv.port) as probe:
+            served, last = stats_fields(probe)[b"served"], None
+            while served != last:  # until the worker is done with the hog
+                time.sleep(0.1)
+                served, last = stats_fields(probe)[b"served"], served
+            kind, want, _ = roundtrip(probe, b"GET /y\n")
+            assert (kind, want) == (b"OK", 16384)
+            assert stats_fields(probe)[b"reserved"] == reserved
+        assert srv.alive
+    finally:
+        srv.stop()
+        srv.join()
+
+
 def test_overlong_line_drops_the_connection_and_is_counted():
     srv = start_server("domains")
     try:
@@ -481,6 +507,7 @@ def test_shutdown_request_drains_and_stops():
         assert roundtrip(sock, b"GET /x\n")[0] == b"OK"
         kind, _, _ = roundtrip(sock, b"SHUTDOWN\n")
         assert kind == b"OK"
+        sock.close()
         srv.join(timeout=5)
         assert not srv.alive
         assert srv.fatal is None
@@ -510,6 +537,23 @@ def test_stop_is_idempotent():
     srv.join()
     srv.stop()
     assert not srv.alive
+
+
+@pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
+def test_stop_leaves_no_socket_open(mode):
+    srv = start_server(mode)
+    with connect(srv.port) as sock:
+        assert roundtrip(sock, b"GET /x\n")[0] == b"OK"
+        srv.stop()
+        srv.join()
+        srv.stop()
+        assert not srv.alive
+        assert sock.recv(1) == b""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        del srv
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 @pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
