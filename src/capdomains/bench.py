@@ -22,14 +22,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .server import GuardServer, PAYLOAD_BYTES, ServerConfig
+from .server import MODES, GuardServer, PAYLOAD_BYTES, ServerConfig
 
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "mode,payload,run,requests,rps,served,rejected"
 COMPARE_CSV_HEADER = "mode,payload,rps_mean,rps_std,overhead_pct"
-MODE_ORDER = ("baseline", "tlsf", "domains")
-PAYLOAD_ORDER = ("0k", "1k", "4k", "16k")
 OVERSIZE_LEN = 200  # > header_buf_len, triggers the parser fault
 BENIGN_LINE = b"GET /bench\n"
 
@@ -253,16 +251,16 @@ def compare_modes(results: Sequence[BenchResult]):
         by_payload.setdefault(res.payload, {})[res.mode] = res
     rows = []
     lines = [COMPARE_CSV_HEADER]
-    payloads = [p for p in PAYLOAD_ORDER if p in by_payload] + sorted(
-        p for p in by_payload if p not in PAYLOAD_ORDER
+    payloads = [p for p in PAYLOAD_BYTES if p in by_payload] + sorted(
+        p for p in by_payload if p not in PAYLOAD_BYTES
     )
     for payload in payloads:
         cell = by_payload[payload]
         if "baseline" not in cell:
             raise ValueError(f"payload {payload} has no baseline measurement")
         base = cell["baseline"].requests_per_second
-        modes = [m for m in MODE_ORDER if m in cell] + sorted(
-            m for m in cell if m not in MODE_ORDER
+        modes = [m for m in MODES if m in cell] + sorted(
+            m for m in cell if m not in MODES
         )
         for m in modes:
             res = cell[m]
@@ -284,8 +282,8 @@ def compare_modes(results: Sequence[BenchResult]):
 
 
 def run_matrix(
-    modes: Sequence[str] = MODE_ORDER,
-    payloads: Sequence[str] = PAYLOAD_ORDER,
+    modes: Sequence[str] = MODES,
+    payloads: Sequence[str] = tuple(PAYLOAD_BYTES),
     connections: int = 8,
     duration: float = 10.0,
     repetitions: int = 3,

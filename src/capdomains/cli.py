@@ -9,10 +9,6 @@ from . import bench as bench_mod
 from .server import PAYLOAD_BYTES, MODES, GuardServer, ServerConfig
 
 
-def _payload_choices():
-    return sorted(PAYLOAD_BYTES, key=PAYLOAD_BYTES.get)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capdomains",
@@ -24,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the guard server until shutdown or fault")
     p.add_argument("--port", type=int, default=0, help="0 picks a free port")
     p.add_argument("--mode", choices=MODES, default="domains")
-    p.add_argument("--payload", choices=_payload_choices(), default="0k")
+    p.add_argument("--payload", choices=PAYLOAD_BYTES, default="0k")
     p.add_argument("--buf-len", type=int, default=64, help="request line buffer size")
     p.add_argument("--host", default="127.0.0.1")
 
@@ -33,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--connections", type=int, default=8)
     p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--payload", choices=_payload_choices(), default="0k")
+    p.add_argument("--payload", choices=PAYLOAD_BYTES, default="0k")
     p.add_argument("--malicious-ratio", type=float, default=0.0)
     p.add_argument("--reps", type=int, default=3, help="desk-scale default")
     p.add_argument("--out", default=None, help="append per-run CSV rows here")
@@ -50,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connections", type=int, default=8)
     p.add_argument("--duration", type=float, default=10.0)
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--modes", default=",".join(bench_mod.MODE_ORDER))
-    p.add_argument("--payloads", default=",".join(bench_mod.PAYLOAD_ORDER))
+    p.add_argument("--modes", default=",".join(MODES))
+    p.add_argument("--payloads", default=",".join(PAYLOAD_BYTES))
     p.add_argument("--out", default=None, help="append per-run CSV rows here")
     p.add_argument("--compare-out", default=None, help="write the overhead CSV here")
     p.add_argument("--seed", type=int, default=None)

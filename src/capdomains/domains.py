@@ -55,7 +55,8 @@ class MainDomainFault(Exception):
 
 
 class HeapInitError(RuntimeError):
-    """The arena cannot satisfy the configured per-domain heap size."""
+    """The configured per-domain heap does not fit the arena or cannot be
+    laid out as allocator pools; no arena bytes stay reserved for it."""
 
 
 class Normal:
@@ -305,17 +306,23 @@ class DomainManager:
             ) from exc
         heap_cap = self.arena.root.address_set(region.base).bounds_set(region.length)
         first = min(size, self.max_pool_size)
-        heap = tlsf_create_with_pool(
-            heap_cap, first, max_pool_size=self.max_pool_size, debug=self.debug
-        )
-        remaining = size - first
-        addr = region.base + first
-        while remaining > self.max_pool_size:
-            heap.add_pool(heap_cap.address_set(addr), self.max_pool_size)
-            remaining -= self.max_pool_size
-            addr += self.max_pool_size
-        if remaining:
-            heap.add_pool(heap_cap.address_set(addr), remaining)
+        try:
+            heap = tlsf_create_with_pool(
+                heap_cap, first, max_pool_size=self.max_pool_size, debug=self.debug
+            )
+            remaining = size - first
+            addr = region.base + first
+            while remaining > self.max_pool_size:
+                heap.add_pool(heap_cap.address_set(addr), self.max_pool_size)
+                remaining -= self.max_pool_size
+                addr += self.max_pool_size
+            if remaining:
+                heap.add_pool(heap_cap.address_set(addr), remaining)
+        except ValueError as exc:  # a pool below the allocator's minimum
+            self.arena.release(region)
+            raise HeapInitError(
+                f"cannot lay out a {size}-byte heap for domain {self.active_domain}: {exc}"
+            ) from exc
         slot.heap = heap
         slot.heap_region = region
         self._generation_counter += 1

@@ -11,6 +11,10 @@ structure's byte area is reserved at the head of the first pool but its
 contents are mirrored in host objects (bitmaps and list heads) rather than
 serialized.
 
+A control is built by :func:`tlsf_create_with_pool` and used only through
+``add_pool``, ``malloc``, ``free``, ``payload_size``, ``destroy``, ``check``,
+``pools`` and ``stats``.
+
 Block geometry::
 
     header (64 B): prev_phys | size+flags | next_free | prev_free
@@ -25,7 +29,6 @@ a 32-byte sentinel (prev_phys + size fields only) whose size is zero.
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from capdomains.capmem import round_representable_length
 
@@ -125,22 +128,11 @@ def _write_link(cap, addr, off):
     cap.store(addr, (0 if off is None else off + 1).to_bytes(8, "little"))
 
 
-class BlockHeader(NamedTuple):
-    """Read-only snapshot of one block header, named by its arena offset."""
-
-    off: int
-    size: int
-    is_free: bool
-    prev_free: bool
-
-    @property
-    def payload_offset(self):
-        return self.off + HEADER_SIZE
-
-
 class TlsfControl:
-    """Allocator state over one or more pools.  Public operations are
+    """Allocator state over one or more pools, used through add_pool,
+    malloc, free, payload_size, destroy, check, pools and stats.  These are
     serialized by an internal lock; distinct controls are independent.
+    free and payload_size refuse a stray, misaligned or freed capability.
 
     A block is named by the arena offset of its header, and every header
     field is checked through the capability of the pool that holds it, which
@@ -170,9 +162,6 @@ class TlsfControl:
     @property
     def pools(self):
         return tuple(self._pools)
-
-    def class_bit_set(self, fl, sl):
-        return bool(self._sl_bitmaps[fl] >> sl & 1) and bool(self._fl_bitmap >> fl & 1)
 
     # ------------------------------------------------------------ pools
 
@@ -224,22 +213,19 @@ class TlsfControl:
                 return cap
         raise InvalidFree("address %d is not inside any pool" % addr)
 
-    def _snapshot(self, off):
-        sf = _read(self._cap(off), off + _SF_OFF)
-        return BlockHeader(off, sf & ~0xF, bool(sf & FREE_BIT), bool(sf & PREV_FREE_BIT))
-
-    def offset_to_block(self, payload_cap):
-        with self._lock:
-            self._ensure_alive()
-            return self._snapshot(self._header_of(payload_cap))
-
-    def _header_of(self, payload_cap):
-        """Header offset of the allocation that starts at payload_cap."""
+    def _live(self, payload_cap):
+        """Pool capability, header offset and size+flags word of the live
+        allocation that starts at payload_cap.  Raises InvalidFree for a
+        stray or misaligned capability and DoubleFree for a free block."""
         addr = payload_cap.address
         header = addr - HEADER_SIZE
-        if addr % ALIGN or header < self._cap(addr).base:
+        cap = self._cap(addr)
+        if addr % ALIGN or header < cap.base:
             raise InvalidFree("address %d is not an allocation start" % addr)
-        return header
+        sf = _read(cap, header + _SF_OFF)
+        if sf & FREE_BIT:
+            raise DoubleFree("block at %d already free" % header)
+        return cap, header, sf
 
     # ------------------------------------------------------------ free lists
 
@@ -275,12 +261,6 @@ class TlsfControl:
 
     # ------------------------------------------------------------ search
 
-    def find_suitable_block(self, size):
-        with self._lock:
-            self._ensure_alive()
-            off = self._find(size)
-            return None if off is None else self._snapshot(off)
-
     def _find(self, size):
         fl, sl = _mapping_search(size)
         if fl < FL_COUNT:
@@ -295,16 +275,9 @@ class TlsfControl:
 
     # ------------------------------------------------------------ split/merge
 
-    def block_split(self, blk, size):
-        with self._lock:
-            self._ensure_alive()
-            rem = self._split(self._cap(blk.off), blk.off, size)
-            self._after_op()
-            return self._snapshot(blk.off), None if rem is None else self._snapshot(rem)
-
     def _split(self, cap, off, size):
-        # off must be free; it leaves its list and comes back allocated.
-        # Returns the header offset of the free remainder, or None.
+        # off must be free; it leaves its list and comes back allocated,
+        # with any remainder of at least MIN_BLOCK relisted as a free block
         sf = _read(cap, off + _SF_OFF)
         free_size = sf & ~0xF
         self._unlink(cap, off, free_size)
@@ -319,13 +292,12 @@ class TlsfControl:
             _write_link(cap, rem + HEADER_SIZE + rem_size, rem)
             self._insert(cap, rem, rem_size)
         else:
-            rem, size = None, free_size
+            size = free_size
             nxt = off + HEADER_SIZE + size
             _write(cap, off + _SF_OFF, size | prev_bit)  # free bit cleared, size kept
             _write(cap, nxt + _SF_OFF, _read(cap, nxt + _SF_OFF) & ~PREV_FREE_BIT)
         self.stats.bytes_allocated += size
         self.stats.live_allocations += 1
-        return rem
 
     def _merge(self, cap, off, sf):
         # off is allocated, with size+flags sf, and is being freed;
@@ -369,17 +341,15 @@ class TlsfControl:
     def free(self, cap):
         with self._lock:
             self._ensure_alive()
-            off = self._header_of(cap)
-            pool_cap = self._cap(off)
-            sf = _read(pool_cap, off + _SF_OFF)
-            if sf & FREE_BIT:
-                raise DoubleFree("block at %d already free" % off)
-            self._merge(pool_cap, off, sf)
+            self._merge(*self._live(cap))
             self._after_op()
 
     def payload_size(self, cap):
-        """Rounded size recorded in the header of a live allocation."""
-        return self.offset_to_block(cap).size
+        """Rounded size recorded in the header of a live allocation.  Like
+        :meth:`free`, refuses a stray, misaligned or freed capability."""
+        with self._lock:
+            self._ensure_alive()
+            return self._live(cap)[2] & ~0xF
 
     def destroy(self):
         """Hand every pool back for arena-level reclamation; the control is
@@ -452,13 +422,13 @@ class TlsfControl:
                 while off is not None:
                     steps += 1
                     assert steps <= len(free_by_walk) + 1, "free-list cycle"
-                    blk = self._snapshot(off)
-                    assert blk.is_free
-                    assert mapping_insert(blk.size) == (fl, sl)
                     link_cap = self._cap(off)
+                    sf = _read(link_cap, off + _SF_OFF)
+                    assert sf & FREE_BIT
+                    assert mapping_insert(sf & ~0xF) == (fl, sl)
                     assert _read_link(link_cap, off + _PREV_LINK_OFF) == prev_link
                     assert off not in listed
-                    listed[off] = blk.size
+                    listed[off] = sf & ~0xF
                     prev_link = off
                     off = _read_link(link_cap, off + _NEXT_OFF)
         assert listed == free_by_walk, "free lists and physical walk disagree"

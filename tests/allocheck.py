@@ -59,13 +59,18 @@ def walk_pool(snapshot, first_off, end_off):
     return blocks
 
 
-def free_bytes_by_walk(arena, ctrl):
-    total = 0
+def pool_blocks(arena, ctrl):
+    """walk_pool over every pool of ``ctrl``, in the order they were added."""
     snap = arena.snapshot()
+    blocks = []
     for pool in ctrl.pools:
         first = pool.region.base + (CONTROL_SIZE if pool.has_control else 0)
-        total += sum(b[1] for b in walk_pool(snap, first, pool.region.base + pool.size) if b[2])
-    return total
+        blocks += walk_pool(snap, first, pool.region.base + pool.size)
+    return blocks
+
+
+def free_bytes_by_walk(arena, ctrl):
+    return sum(b[1] for b in pool_blocks(arena, ctrl) if b[2])
 
 
 def fresh_control(arena_size=256 * KIB, pool_size=64 * KIB, **kw):

@@ -368,6 +368,20 @@ def test_heap_init_arena_exhaustion_is_fatal(monkeypatch):
         mgr.heap_init()
 
 
+def test_heap_below_the_pool_minimum_is_refused_without_a_leak(monkeypatch):
+    # a heap smaller than one pool's minimum, and one whose chained
+    # remainder is, keep none of the region reserved for them
+    max_pool = 64 * KIB
+    for size in (4096, max_pool + 32):
+        monkeypatch.setenv("APP_HEAP_SIZE", str(size))
+        mgr = DomainManager(arena_size=1 * MIB, max_pool_size=max_pool)
+        for _ in range(3):
+            with pytest.raises(HeapInitError):
+                mgr.domain_call(1, lambda: mgr.dalloc(16))
+            assert mgr.arena.reserved_bytes == 0, size
+        assert mgr.heap_of(1) is None
+
+
 # ---------------------------------------------------------------- facade
 
 def test_dalloc_in_main_domain_works():
@@ -398,6 +412,24 @@ def test_drealloc_preserves_prefix():
     with pytest.raises(DoubleFree):
         mgr.dfree(small)  # the old block was released by drealloc
     mgr.dfree(grown)
+
+
+def test_drealloc_of_a_freed_block_is_refused():
+    mgr = small_manager()
+    keep = mgr.dalloc(64)
+    stale = mgr.dalloc(64)
+    mgr.dfree(stale)
+    heap = mgr.heap_of(0)
+    live = heap.stats.live_allocations
+    with pytest.raises(DoubleFree):
+        mgr.drealloc(stale, 64)
+    assert heap.stats.live_allocations == live
+    heap.check()
+    # the block behind stale is free; two fresh allocations share no byte
+    # with each other or with the block still held
+    first, second = mgr.dalloc(64), mgr.dalloc(64)
+    assert len({keep.base, first.base, second.base}) == 3
+    assert heap.stats.live_allocations == live + 2
 
 
 def test_drealloc_none_acts_as_dalloc():

@@ -33,8 +33,8 @@ from allocheck import (
     fresh_control,
     free_bytes_by_walk,
     oracle_mapping,
+    pool_blocks,
     run_differential,
-    walk_pool,
 )
 
 
@@ -64,14 +64,15 @@ def test_mapping_monotone_classes():
 
 def test_create_single_free_block_64k():
     arena, ctrl = fresh_control(debug=True)
-    pool = ctrl.pools[0]
-    blocks = walk_pool(arena.snapshot(), pool.region.base + CONTROL_SIZE, pool.region.base + pool.size)
+    blocks = pool_blocks(arena, ctrl)
     assert len(blocks) == 1
     off, size, is_free, prev_free = blocks[0]
     assert size == FRESH_64K
     assert is_free and not prev_free
-    fl, sl = mapping_insert(size)
-    assert ctrl.class_bit_set(fl, sl)
+    # listed under its class: the smallest request reaches it through both
+    # bitmap levels and carves from its start
+    ctrl.check()
+    assert ctrl.malloc(16).base == off + HEADER_SIZE
 
 
 def test_create_rejects_bad_sizes():
@@ -127,19 +128,30 @@ def test_second_pool_serves_after_first_exhausted():
 
 # ---------------------------------------------------------------- search
 
-def test_find_suitable_block_empty_and_single():
+def test_search_takes_the_lowest_fitting_class():
     arena, ctrl = fresh_control(debug=True)
     hold = ctrl.malloc(FRESH_64K)
-    assert ctrl.find_suitable_block(16) is None
+    with pytest.raises(OutOfMemory):
+        ctrl.malloc(16)
     ctrl.free(hold)
     # carve a 1 KiB free block below the big remainder; the search walks
     # upward from the request class and must land on the 1 KiB block first
     a = ctrl.malloc(1024)
     sep = ctrl.malloc(16)
     ctrl.free(a)
-    blk = ctrl.find_suitable_block(64)
-    assert blk is not None and blk.size == 1024
+    c = ctrl.malloc(64)
+    assert c.base == a.base
+    rest = FRESH_64K - 1024 - 16 - 2 * HEADER_SIZE
+    assert [(b[1], b[2]) for b in pool_blocks(arena, ctrl)] == [
+        (64, False), (1024 - 64 - HEADER_SIZE, True), (16, False), (rest, True)]
+    ctrl.free(c)
     ctrl.free(sep)
+    # likewise between two second-level classes of one first-level range
+    arena, ctrl = fresh_control(debug=True)
+    small, _, big, _ = (ctrl.malloc(n) for n in (544, 16, 768, 16))
+    ctrl.free(big)
+    ctrl.free(small)
+    assert ctrl.malloc(528).base == small.base
 
 
 def test_good_fit_prefers_next_class_up():
@@ -150,45 +162,66 @@ def test_good_fit_prefers_next_class_up():
     s2 = ctrl.malloc(16)
     ctrl.free(a)
     ctrl.free(b)
-    blk = ctrl.find_suitable_block(100)
-    assert blk is not None
-    assert blk.size == 512, "good-fit round-up must skip the 64-byte block"
-    ctrl.free(s1)
-    ctrl.free(s2)
+    c = ctrl.malloc(100)
+    assert c.base == b.base, "good-fit round-up must skip the 64-byte block"
+    assert [(b_[1], b_[2]) for b_ in pool_blocks(arena, ctrl)[:4]] == [
+        (64, True), (16, False), (112, False), (512 - 112 - HEADER_SIZE, True)]
+    # 1024 and 1040 share a class; rounding the request up a class keeps
+    # the search off a hole of that class that is too small for it
+    assert mapping_insert(1024) == mapping_insert(1040)
+    d = ctrl.malloc(1024)
+    s3 = ctrl.malloc(512)  # too big for the holes before d
+    ctrl.free(d)
+    e = ctrl.malloc(1040)
+    assert e.base > s3.base
+    assert (d.base - HEADER_SIZE, 1024, True, False) in pool_blocks(arena, ctrl)
+    for cap in (c, e, s1, s2, s3):
+        ctrl.free(cap)
 
 
 # ---------------------------------------------------------------- split/merge
 
 def test_split_relists_remainder_and_walk_is_gapless():
     arena, ctrl = fresh_control(debug=True)
-    blk = ctrl.find_suitable_block(64)
-    alloc, rem = ctrl.block_split(blk, 64)
-    assert alloc.size == 64 and not alloc.is_free
-    assert rem is not None and rem.is_free
-    assert rem.size == FRESH_64K - 64 - HEADER_SIZE
-    pool = ctrl.pools[0]
-    blocks = walk_pool(arena.snapshot(), pool.region.base + CONTROL_SIZE, pool.region.base + pool.size)
-    assert [(b[1], b[2]) for b in blocks] == [(64, False), (rem.size, True)]
+    first = ctrl.pools[0].region.base + CONTROL_SIZE
+    alloc = ctrl.malloc(64)
+    assert alloc.base == first + HEADER_SIZE
+    rem_size = FRESH_64K - 64 - HEADER_SIZE
+    assert pool_blocks(arena, ctrl) == [
+        (first, 64, False, False), (alloc.top, rem_size, True, False)]
+    ctrl.check()  # the remainder is on the free list of its class
+    assert ctrl.malloc(16).base == alloc.top + HEADER_SIZE
 
 
 def test_split_exact_fit_no_remainder():
     arena, ctrl = fresh_control(debug=True)
     a = ctrl.malloc(FRESH_64K - 32 - HEADER_SIZE)
-    blk = ctrl.find_suitable_block(32)
-    assert blk.size == 32
-    alloc, rem = ctrl.block_split(blk, 32)
-    assert rem is None and alloc.size == 32
+    assert [(b[1], b[2]) for b in pool_blocks(arena, ctrl)] == [
+        (FRESH_64K - 32 - HEADER_SIZE, False), (32, True)]
+    exact = ctrl.malloc(32)
+    assert exact.base == a.top + HEADER_SIZE
+    assert [(b[1], b[2]) for b in pool_blocks(arena, ctrl)] == [
+        (FRESH_64K - 32 - HEADER_SIZE, False), (32, False)]
+    with pytest.raises(OutOfMemory):
+        ctrl.malloc(16)
     ctrl.free(a)
 
 
 def test_split_never_leaves_sub_minimum_remainder():
-    # a block of size + header + (min-1 rounded out) must not split
-    arena, ctrl = fresh_control(debug=True)
-    a = ctrl.malloc(FRESH_64K - (64 + HEADER_SIZE + MIN_BLOCK) - HEADER_SIZE)
-    blk = ctrl.find_suitable_block(64 + HEADER_SIZE)  # remainder would be < 16 + header
-    alloc, rem = ctrl.block_split(blk, 64 + HEADER_SIZE + MIN_BLOCK - 16)
-    assert rem is None or rem.size >= MIN_BLOCK
-    ctrl.free(a)
+    # a remainder that cannot hold a header and MIN_BLOCK stays in the
+    # allocation, and its header records the whole hole
+    hole = 64 + HEADER_SIZE + MIN_BLOCK
+    for request, tail in (
+        (hole - 16, [(hole, False)]),  # remainder would be negative
+        (hole - HEADER_SIZE, [(hole, False)]),  # remainder would be 0 bytes
+        (64, [(64, False), (MIN_BLOCK, True)]),  # remainder is exactly MIN_BLOCK
+    ):
+        arena, ctrl = fresh_control(debug=True)
+        a = ctrl.malloc(FRESH_64K - hole - HEADER_SIZE)
+        cap = ctrl.malloc(request)
+        assert cap.base == a.top + HEADER_SIZE
+        assert [(b[1], b[2]) for b in pool_blocks(arena, ctrl)][1:] == tail, request
+        assert ctrl.payload_size(cap) == tail[0][0]
 
 
 def test_merge_adjacent_frees():
@@ -198,8 +231,7 @@ def test_merge_adjacent_frees():
     guard = ctrl.malloc(16)
     ctrl.free(a)
     ctrl.free(b)  # must merge with a: one block of 96 + 160 + header
-    pool = ctrl.pools[0]
-    blocks = walk_pool(arena.snapshot(), pool.region.base + CONTROL_SIZE, pool.region.base + pool.size)
+    blocks = pool_blocks(arena, ctrl)
     frees = [b_ for b_ in blocks if b_[2]]
     assert frees[0][1] == 96 + 160 + HEADER_SIZE
     ctrl.free(guard)
@@ -211,8 +243,7 @@ def test_free_middle_of_three_no_merge():
     b = ctrl.malloc(32)
     c = ctrl.malloc(32)
     ctrl.free(b)
-    pool = ctrl.pools[0]
-    blocks = walk_pool(arena.snapshot(), pool.region.base + CONTROL_SIZE, pool.region.base + pool.size)
+    blocks = pool_blocks(arena, ctrl)
     assert [(b_[1], b_[2]) for b_ in blocks[:3]] == [(32, False), (32, True), (32, False)]
     ctrl.free(a)
     ctrl.free(c)
@@ -225,9 +256,7 @@ def test_random_order_free_restores_single_block():
     rng.shuffle(caps)
     for cap in caps:
         ctrl.free(cap)
-    snap = arena.snapshot()
-    pool = ctrl.pools[0]
-    blocks = walk_pool(snap, pool.region.base + CONTROL_SIZE, pool.region.base + pool.size)
+    blocks = pool_blocks(arena, ctrl)
     assert len(blocks) == 1 and blocks[0][1] == FRESH_64K and blocks[0][2]
 
 
@@ -243,9 +272,7 @@ def test_no_adjacent_free_blocks_after_random_ops():
                 live.append(ctrl.malloc(rng.randrange(1, 512)))
             except OutOfMemory:
                 pass
-    snap = arena.snapshot()
-    pool = ctrl.pools[0]
-    blocks = walk_pool(snap, pool.region.base + CONTROL_SIZE, pool.region.base + pool.size)
+    blocks = pool_blocks(arena, ctrl)
     for prev, cur in zip(blocks, blocks[1:]):
         assert not (prev[2] and cur[2]), "adjacent free blocks must have merged"
         assert cur[3] == prev[2], "prev_free flag mirrors the left neighbor"
@@ -272,19 +299,24 @@ def test_malloc_rounds_and_aligns():
 def test_malloc_headers_record_rounded_size():
     arena, ctrl = fresh_control(debug=True)
     cap = ctrl.malloc(100)
-    blk = ctrl.offset_to_block(cap)
-    assert blk.size == 112
-    assert blk.payload_offset == cap.base
+    assert ctrl.payload_size(cap) == 112
+    off, size, is_free, _ = pool_blocks(arena, ctrl)[0]
+    assert (off + HEADER_SIZE, size, is_free) == (cap.base, 112, False)
     ctrl.free(cap)
 
 
-def test_offset_to_block_outside_pools():
+def test_stray_capability_is_refused():
     arena, ctrl = fresh_control()
+    live = ctrl.malloc(64)
+    before = pool_blocks(arena, ctrl)
     stray = arena.root.address_set(8)  # before the pool region
-    with pytest.raises(InvalidFree):
-        ctrl.offset_to_block(stray)
-    with pytest.raises(InvalidFree):
-        ctrl.free(stray)
+    misaligned = live.address_set(live.base + 8)
+    for cap in (stray, misaligned):
+        with pytest.raises(InvalidFree):
+            ctrl.payload_size(cap)
+        with pytest.raises(InvalidFree):
+            ctrl.free(cap)
+    assert pool_blocks(arena, ctrl) == before
 
 
 def test_free_conservation_and_double_free():
@@ -297,6 +329,8 @@ def test_free_conservation_and_double_free():
     assert (ctrl.stats.bytes_allocated, ctrl.stats.live_allocations) == s0
     with pytest.raises(DoubleFree):
         ctrl.free(cap)
+    with pytest.raises(DoubleFree):
+        ctrl.payload_size(cap)
 
 
 def test_destroy_returns_all_pools():
