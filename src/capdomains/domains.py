@@ -296,7 +296,12 @@ class DomainManager:
         if slot.heap is not None:
             return
         raw = os.environ.get(HEAP_SIZE_ENV)
-        size = int(raw) if raw else self.default_heap_size
+        try:
+            size = int(raw) if raw else self.default_heap_size
+        except ValueError:
+            raise HeapInitError(f"{HEAP_SIZE_ENV}={raw!r} is not a byte count") from None
+        if size <= 0:
+            raise HeapInitError(f"heap size {size} for domain {self.active_domain} is not positive")
         size = (size + 15) & ~15
         try:
             region = self.arena.reserve(size, tag=f"domain{self.active_domain}-heap")

@@ -10,9 +10,9 @@ instead of corrupting neighbours.  What happens next depends on the mode:
 * ``tlsf``      - buffers come from a real allocator heap; same fatal
                   behavior on fault, isolates the allocator's own cost.
 * ``domains``   - buffers come from the heap of a nested isolation domain
-                  and the parse runs inside it; a fault discards that
-                  domain, drops the offending connection, and every other
-                  connection keeps being served.
+                  and the parse runs inside it, one entry per read's run
+                  of request lines; a fault discards that domain, drops
+                  the offending connection, and the others keep being served.
 
 The modes differ only in where a connection's buffer comes from and
 whether the parse is contained; the worker picks both once and then runs
@@ -31,17 +31,18 @@ Two control lines bypass the vulnerable parser: ``STATS\\n`` answers with
 a key=value counters body, ``SHUTDOWN\\n`` drains and stops the worker.
 Neither is counted in the request statistics.
 
-Each connection has one outbound byte queue.  Every complete line of one
-``recv`` is answered onto it first, and then one non-blocking ``send`` takes
-what the socket will, so a pipelined batch costs one write, not one per
-line.  Whatever the socket does not take stays at the queue's head and the
-connection waits for it to drain before it is read again.  A client that
-does not read its replies is therefore paused, not served into an unbounded
-queue: no more of its lines are answered once ``OUT_HIGH_WATER`` bytes wait
-for it, and the other connections keep being served.  ``served`` and
-``bytes_out`` count a reply when it is queued.  A line longer than
-``MAX_LINE`` drops its connection and counts in ``overlong``.  Besides
-``SHUTDOWN``, the worker stops on one signal: a byte on its wake-up socket.
+Each connection has one outbound byte queue.  The complete lines of one
+``recv`` are answered onto it in order, each run of request lines in one
+parse pass, and then one non-blocking ``send`` takes what the socket will,
+so a pipelined batch costs one write, not one per line.  Whatever the
+socket does not take stays at the queue's head and the connection waits for
+it to drain before it is read again.  A client that does not read its
+replies is therefore paused, not served into an unbounded queue: no more of
+its lines are answered once ``OUT_HIGH_WATER`` bytes wait for it, and the
+other connections keep being served.  ``served`` and ``bytes_out`` count a
+pass's replies when it ends, a fault that drops the connection included.
+A line longer than ``MAX_LINE`` drops its connection, counted in ``overlong``.
+Besides ``SHUTDOWN``, one signal stops the worker: a byte on its wake-up socket.
 """
 
 import functools
@@ -50,7 +51,7 @@ import selectors
 import socket
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .capmem import (ArenaExhausted, Capability, MemoryArena, ProtectionFault,
                      round_representable_length)
@@ -72,14 +73,14 @@ OUT_HIGH_WATER = 256 * 1024
 HEAP_SIZE = 256 * 1024  # the tlsf worker heap and the domains parse heap
 ARENA_SIZE = 4 * 1024 * 1024
 MAX_CONNECTIONS = 64  # listen backlog, open-connection cap, baseline buffer slots
+_CONTROL = (b"STATS\n", b"SHUTDOWN\n")  # answered by the worker, never parsed
 
 
 class ParseError(Exception):
     """Malformed request line; answered with ERR, never fatal."""
 
 
-@dataclass(frozen=True)
-class RequestLine:
+class RequestLine(NamedTuple):
     method: str
     path: str
     raw_len: int
@@ -128,7 +129,7 @@ def parse_request_line(data: bytes, buf: Capability) -> RequestLine:
         path = parts[1].decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError("non-ascii request line") from exc
-    return RequestLine(method=method, path=path, raw_len=len(data))
+    return RequestLine(method, path, len(data))
 
 
 class _FixedBufPool:
@@ -156,7 +157,7 @@ class _FixedBufPool:
 
 
 class _Conn:
-    __slots__ = ("sock", "rbuf", "out", "writing", "buf", "pending_line", "parse_job")
+    __slots__ = ("sock", "rbuf", "out", "writing", "buf")
 
     def __init__(self, sock):
         self.sock = sock
@@ -164,8 +165,6 @@ class _Conn:
         self.out = bytearray()  # queued reply bytes the socket has not taken yet
         self.writing = False  # registered for EVENT_WRITE, not READ, while a tail waits
         self.buf: Optional[Capability] = None
-        self.pending_line = b""
-        self.parse_job = None
 
 
 def _payload_body(size: int) -> bytes:
@@ -255,8 +254,8 @@ class GuardServer:
                 def free(cap: Capability) -> None:
                     manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(cap))
 
-                def contain(job):
-                    return functools.partial(manager.domain_call, PARSE_DOMAIN_UDI, job)
+                def contain(job, *args):
+                    return manager.domain_call(PARSE_DOMAIN_UDI, functools.partial(job, *args))
 
                 manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(malloc(buf_len)))
             else:
@@ -269,8 +268,8 @@ class GuardServer:
                     heap = _FixedBufPool(arena, buf_len, MAX_CONNECTIONS)
                 malloc, free = heap.malloc, heap.free
 
-                def contain(job):
-                    return job  # unguarded: a fault in the parse kills the worker
+                def contain(job, *args):
+                    return job(*args)  # unguarded: a fault in the parse kills the worker
 
                 free(malloc(buf_len))
         except (ArenaExhausted, AllocationError, HeapInitError) as exc:
@@ -350,61 +349,63 @@ class GuardServer:
 
         # the response body is fixed per server, so the frame is too
         ok_frame = b"OK %d\n" % len(self._payload) + self._payload
-        ok_frame_len = len(ok_frame)
+        done = 0  # where the last parse pass stopped, set even if it faulted
 
-        def make_parse_job(conn: _Conn):
-            # built once per connection so the per-request path allocates
-            # nothing beyond what the parse itself needs
-            def job():
-                if conn.buf is None:
-                    conn.buf = malloc(cfg.header_buf_len)
-                return parse_request_line(conn.pending_line, conn.buf)
-
-            return contain(job)
-
-        def handle_line(conn: _Conn, line: bytes) -> None:
-            nonlocal shutting_down
-            if line == b"STATS\n":
-                frame_body = stats_body()
-                conn.out += b"OK %d\n" % len(frame_body) + frame_body
-                return
-            if line == b"SHUTDOWN\n":
-                conn.out += b"OK 3\nbye"
-                shutting_down = True
-                return
-            conn.pending_line = line
-            outcome = conn.parse_job()
-            if isinstance(outcome, Aborted):
-                log.info("connection dropped after contained fault: %s", outcome.fault)
-                bump(rejected=1)
-                # the discarded parse heap took every connection's buffer with it
-                for other in conns.values():
-                    other.buf = None
-                close_conn(conn)
-                return
-            conn.out += ok_frame
-            bump(served=1, out=ok_frame_len)
+        def parse_lines(conn: _Conn, start: int, nl: int) -> None:
+            """One parse pass from the request line ``rbuf[start : nl + 1]`` up to
+            a control line, ``OUT_HIGH_WATER`` queued bytes or no complete line."""
+            nonlocal done
+            rbuf, out, buf = conn.rbuf, conn.out, conn.buf
+            try:
+                if buf is None:
+                    buf = conn.buf = malloc(cfg.header_buf_len)
+                while True:
+                    try:
+                        parse_request_line(bytes(rbuf[start : nl + 1]), buf)
+                        out += ok_frame
+                    except ParseError as exc:
+                        out += b"ERR %s\n" % str(exc).replace(" ", "-").encode("ascii")
+                    start = nl + 1
+                    nl = rbuf.find(b"\n", start)
+                    if nl < 0 or len(out) >= OUT_HIGH_WATER or rbuf.startswith(_CONTROL, start):
+                        break
+            finally:
+                done = start
 
         def answer(conn: _Conn) -> None:
-            """Answer the complete lines in ``rbuf``, then flush.  Lines stop
-            being taken at ``OUT_HIGH_WATER`` queued bytes and resume once a
-            flush has sent everything."""
+            """Answer the complete lines in ``rbuf`` in order, each run of request
+            lines in one parse pass, then flush.  Lines stop being taken at
+            ``OUT_HIGH_WATER`` queued bytes and resume once a flush sent all."""
+            nonlocal shutting_down
             rbuf = conn.rbuf
             while True:
                 start = 0
                 nl = rbuf.find(b"\n")
                 while nl >= 0 and len(conn.out) < OUT_HIGH_WATER and not shutting_down:
-                    line = bytes(rbuf[start : nl + 1])
-                    start = nl + 1
-                    try:
-                        handle_line(conn, line)
-                    except ParseError as exc:
-                        frame = b"ERR %s\n" % str(exc).replace(" ", "-").encode("ascii")
-                        conn.out += frame
-                        # answered is answered: malformed requests count as served
-                        bump(served=1, out=len(frame))
-                    if conn.sock not in conns:
-                        return
+                    if not rbuf.startswith(_CONTROL, start):
+                        queued = len(conn.out)
+                        try:
+                            outcome = contain(parse_lines, conn, start, nl)
+                        finally:
+                            # answered is answered: malformed requests count as served
+                            bump(served=rbuf.count(b"\n", start, done), out=len(conn.out) - queued)
+                            start = done
+                        if isinstance(outcome, Aborted):
+                            log.info("connection dropped after contained fault: %s", outcome.fault)
+                            bump(rejected=1)
+                            # the discarded parse heap took every connection's buffer with it
+                            for other in conns.values():
+                                other.buf = None
+                            close_conn(conn)
+                            return
+                    elif rbuf.startswith(b"STATS\n", start):
+                        body = stats_body()
+                        conn.out += b"OK %d\n" % len(body) + body
+                        start = nl + 1
+                    else:
+                        conn.out += b"OK 3\nbye"
+                        shutting_down = True
+                        start = nl + 1
                     nl = rbuf.find(b"\n", start)
                 del rbuf[:start]
                 if nl < 0 and len(rbuf) > MAX_LINE:
@@ -435,7 +436,6 @@ class GuardServer:
                         # every write is whole frames, so Nagle could only delay them
                         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                         conn = _Conn(sock)
-                        conn.parse_job = make_parse_job(conn)
                         conns[sock] = conn
                         sel.register(sock, selectors.EVENT_READ, conn)
                     elif key.data.writing:

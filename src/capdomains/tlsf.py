@@ -67,11 +67,11 @@ class OutOfMemory(AllocationError):
     pass
 
 
-class DoubleFree(AllocationError):
+class InvalidFree(AllocationError):
     pass
 
 
-class InvalidFree(AllocationError):
+class DoubleFree(InvalidFree):
     pass
 
 
@@ -132,7 +132,8 @@ class TlsfControl:
     """Allocator state over one or more pools, used through add_pool,
     malloc, free, payload_size, destroy, check, pools and stats.  These are
     serialized by an internal lock; distinct controls are independent.
-    free and payload_size refuse a stray, misaligned or freed capability.
+    free and payload_size refuse any capability that does not start a live
+    allocation, as a host-side set of live header offsets records them.
 
     A block is named by the arena offset of its header, and every header
     field is checked through the capability of the pool that holds it, which
@@ -150,6 +151,7 @@ class TlsfControl:
         self._bases = []
         self._caps = []
         self._heads = [[None] * SL_COUNT for _ in range(FL_COUNT)]
+        self._live_headers = set()  # header offsets of the live allocations
         self._fl_bitmap = 0
         self._sl_bitmaps = [0] * FL_COUNT
         self._lock = threading.Lock()
@@ -215,17 +217,18 @@ class TlsfControl:
 
     def _live(self, payload_cap):
         """Pool capability, header offset and size+flags word of the live
-        allocation that starts at payload_cap.  Raises InvalidFree for a
-        stray or misaligned capability and DoubleFree for a free block."""
+        allocation that starts at payload_cap.  Raises InvalidFree for any
+        other address, DoubleFree (one kind of it) for a free block."""
         addr = payload_cap.address
         header = addr - HEADER_SIZE
         cap = self._cap(addr)
-        if addr % ALIGN or header < cap.base:
-            raise InvalidFree("address %d is not an allocation start" % addr)
-        sf = _read(cap, header + _SF_OFF)
-        if sf & FREE_BIT:
+        if header in self._live_headers:
+            return cap, header, _read(cap, header + _SF_OFF)
+        # only the host-side set vouches for a header: a size word inside a
+        # live payload may be forged, so it is read here just to name the error
+        if addr % ALIGN == 0 and header >= cap.base and _read(cap, header + _SF_OFF) & FREE_BIT:
             raise DoubleFree("block at %d already free" % header)
-        return cap, header, sf
+        raise InvalidFree("address %d is not an allocation start" % addr)
 
     # ------------------------------------------------------------ free lists
 
@@ -298,6 +301,7 @@ class TlsfControl:
             _write(cap, nxt + _SF_OFF, _read(cap, nxt + _SF_OFF) & ~PREV_FREE_BIT)
         self.stats.bytes_allocated += size
         self.stats.live_allocations += 1
+        self._live_headers.add(off)
 
     def _merge(self, cap, off, sf):
         # off is allocated, with size+flags sf, and is being freed;
@@ -305,6 +309,7 @@ class TlsfControl:
         size = sf & ~0xF
         self.stats.bytes_allocated -= size
         self.stats.live_allocations -= 1
+        self._live_headers.remove(off)
         if sf & PREV_FREE_BIT:
             prev = _read_link(cap, off)
             prev_size = _read(cap, prev + _SF_OFF) & ~0xF
@@ -346,7 +351,7 @@ class TlsfControl:
 
     def payload_size(self, cap):
         """Rounded size recorded in the header of a live allocation.  Like
-        :meth:`free`, refuses a stray, misaligned or freed capability."""
+        :meth:`free`, refuses any capability that does not start one."""
         with self._lock:
             self._ensure_alive()
             return self._live(cap)[2] & ~0xF
@@ -387,8 +392,8 @@ class TlsfControl:
 
     def _check_integrity(self):
         free_by_walk = {}
+        allocated = set()
         allocated_bytes = 0
-        allocated_count = 0
         for cap in self._caps:
             off, end = cap.base, cap.top - SENTINEL_SIZE
             prev_off = None
@@ -403,8 +408,8 @@ class TlsfControl:
                 if is_free:
                     free_by_walk[off] = size
                 else:
+                    allocated.add(off)
                     allocated_bytes += size
-                    allocated_count += 1
                 prev_off, prev_was_free = off, is_free
                 off += HEADER_SIZE + size
             assert off == end, "walk must land on the sentinel"
@@ -433,7 +438,8 @@ class TlsfControl:
                     off = _read_link(link_cap, off + _NEXT_OFF)
         assert listed == free_by_walk, "free lists and physical walk disagree"
         assert self.stats.bytes_allocated == allocated_bytes
-        assert self.stats.live_allocations == allocated_count
+        assert self.stats.live_allocations == len(allocated)
+        assert self._live_headers == allocated, "live set and physical walk disagree"
         assert self.stats.bytes_reserved == sum(p.size for p in self._pools)
 
 

@@ -382,6 +382,16 @@ def test_heap_below_the_pool_minimum_is_refused_without_a_leak(monkeypatch):
         assert mgr.heap_of(1) is None
 
 
+@pytest.mark.parametrize("raw", ["0", "-16", "abc"])
+def test_heap_size_that_is_no_byte_count_is_refused(monkeypatch, raw):
+    monkeypatch.setenv("APP_HEAP_SIZE", raw)
+    mgr = DomainManager(arena_size=1 * MIB)
+    with pytest.raises(HeapInitError):
+        mgr.domain_call(1, lambda: mgr.dalloc(16))
+    assert mgr.arena.reserved_bytes == 0
+    assert mgr.heap_of(1) is None
+
+
 # ---------------------------------------------------------------- facade
 
 def test_dalloc_in_main_domain_works():

@@ -390,6 +390,85 @@ def test_replies_to_one_read_share_a_write(monkeypatch):
     assert 0 < len(writes) < 16, f"{len(writes)} server writes for 16 replies"
 
 
+def test_one_read_is_parsed_in_one_domain_entry(monkeypatch):
+    calls = {"domain_call": 0, "parse": 0}
+    domain_call, parse = DomainManager.domain_call, server_mod.parse_request_line
+
+    def counted_domain_call(self, udi, routine):
+        if threading.current_thread().name.startswith("guard-"):
+            calls["domain_call"] += 1
+        return domain_call(self, udi, routine)
+
+    def counted_parse(data, buf):
+        calls["parse"] += 1
+        return parse(data, buf)
+
+    monkeypatch.setattr(DomainManager, "domain_call", counted_domain_call)
+    monkeypatch.setattr(server_mod, "parse_request_line", counted_parse)
+    srv = start_server("domains", payload_size=0)
+    try:
+        with connect(srv.port) as sock:
+            sock.sendall(b"GET /w\n" * 16)
+            assert read_exactly(sock, 16 * 5) == b"OK 0\n" * 16
+            # counted before the close, whose buffer free enters the domain too
+            assert calls == {"domain_call": 1, "parse": 16}
+    finally:
+        srv.stop()
+        srv.join()
+
+
+def read_until_eof(sock):
+    data = bytearray()
+    while True:
+        try:
+            chunk = sock.recv(1 << 16)
+        except ConnectionResetError:
+            break
+        if not chunk:
+            break
+        data += chunk
+    return bytes(data)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
+def test_control_lines_in_a_batch_are_answered_in_order(mode):
+    srv = start_server(mode, payload_size=128)
+    ok = b"OK 128\n" + server_mod._payload_body(128)
+    err = b"ERR expected-exactly-METHOD-SP-PATH\n"
+    # the arena reservations each mode makes once, at start
+    reserved = server_mod.MAX_CONNECTIONS * 64 if mode == "baseline" else server_mod.HEAP_SIZE
+    stats = (
+        f"mode={mode} payload=128 served=2 rejected=0 bytes_out={len(ok) + len(err)} "
+        f"reserved={reserved} heap_generation={int(mode == 'domains')} alive=1 overlong=0"
+    ).encode("ascii")
+    try:
+        with connect(srv.port) as sock:
+            sock.sendall(b"GET /a\nBAD\nSTATS\nGET /b\nSHUTDOWN\nGET /c\n")
+            replies = read_until_eof(sock)
+        assert replies == ok + err + b"OK %d\n" % len(stats) + stats + ok + b"OK 3\nbye"
+        srv.join(timeout=5)
+        assert not srv.alive and srv.fatal is None
+        assert srv.stats_snapshot().served == 3, "the line after SHUTDOWN is unanswered"
+    finally:
+        srv.stop()
+        srv.join()
+
+
+def test_a_fault_mid_batch_parses_no_later_line():
+    srv = start_server("domains", payload_size=0)
+    try:
+        with connect(srv.port) as sock:
+            sock.sendall(b"GET /a\n" + ATTACK + b"GET /b\n")
+            assert read_until_eof(sock) == b"OK 0\n"
+        with connect(srv.port) as probe:
+            fields = stats_fields(probe)
+        assert (fields[b"served"], fields[b"rejected"]) == (b"1", b"1")
+        assert srv.alive
+    finally:
+        srv.stop()
+        srv.join()
+
+
 def test_attack_mid_batch_answers_the_lines_before_it():
     srv = start_server("domains")
     try:

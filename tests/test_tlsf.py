@@ -319,6 +319,38 @@ def test_stray_capability_is_refused():
     assert pool_blocks(arena, ctrl) == before
 
 
+def test_interior_capability_is_refused_despite_a_forged_header():
+    arena, ctrl = fresh_control()
+    victim = ctrl.malloc(256)
+    # a size word where a header would sit 64 bytes below victim.base + 64
+    victim.store(16, (128).to_bytes(8, "little"))
+    before = pool_blocks(arena, ctrl)
+    for off in (64, 128):
+        interior = victim.address_set(victim.base + off)
+        with pytest.raises(InvalidFree):
+            ctrl.free(interior)
+        with pytest.raises(InvalidFree):
+            ctrl.payload_size(interior)
+    assert pool_blocks(arena, ctrl) == before
+    ctrl.check()
+    assert ctrl.payload_size(victim) == 256
+    ctrl.free(victim)
+    ctrl.check()
+
+
+def test_double_free_of_a_block_merged_into_its_predecessor():
+    arena, ctrl = fresh_control()
+    first, second, guard = ctrl.malloc(64), ctrl.malloc(64), ctrl.malloc(64)
+    ctrl.free(first)
+    ctrl.free(second)  # coalesces into first; its own header is stale
+    before = pool_blocks(arena, ctrl)
+    with pytest.raises(InvalidFree):
+        ctrl.free(second)
+    assert pool_blocks(arena, ctrl) == before
+    ctrl.check()
+    ctrl.free(guard)
+
+
 def test_free_conservation_and_double_free():
     arena, ctrl = fresh_control(debug=True)
     s0 = (ctrl.stats.bytes_allocated, ctrl.stats.live_allocations)
