@@ -5,6 +5,11 @@ permissions and a validity tag.  Checks run in a fixed order (tag, then
 permission, then bounds) and always *before* the arena is touched, so a
 faulting store leaves the arena bit-identical.  Out-of-bounds addresses are
 representable on derivation; only dereferencing them faults.
+
+``store`` and ``load`` move one run of bytes per check.  ``view`` checks a
+whole window once and hands back a writable memoryview of it, so a caller
+that reads and writes several fields of one record (an allocator header, a
+request line) pays for one check, not one per field.
 """
 
 import enum
@@ -190,13 +195,37 @@ class Capability:
             raise BoundsViolation(addr, length)
         return bytes(self._arena._view[addr : addr + length])
 
+    def view(self, offset, length):
+        """Writable memoryview of ``length`` arena bytes at ``address + offset``.
+
+        One check covers every later read and write through the view, so it
+        needs both load and store permission.  A fault raises what a
+        ``store`` of that window would, with the same record, before any
+        byte moves.  A zero-length view is tag-checked only.
+        """
+        addr = self.address + offset
+        if not self.tag:
+            raise TagViolation(addr, length)
+        perms = self.perms
+        if not (perms.load and perms.store):
+            raise PermissionViolation(addr, length)
+        if length and (addr < self.base or addr + length > self.top or length < 0):
+            raise BoundsViolation(addr, length)
+        return self._arena._view[addr : addr + length]
+
+
+# copied over a released region chunk by chunk; small, so it adds little RSS
+_ZEROS = memoryview(bytes(64 * 1024))
+
 
 class MemoryArena:
     """Flat zero-filled byte store; the sole target of capability accesses.
 
     Also keeps a non-overlapping reserved-region ledger (the mmap stand-in)
     so heap discards can be audited: reserved_bytes must return to its prior
-    value when a domain is destroyed.
+    value when a domain is destroyed.  A released region is zeroed, as the
+    pages of a fresh mmap are, so nothing written into a discarded heap can
+    be read out of the next one.
     """
 
     def __init__(self, size):
@@ -242,5 +271,9 @@ class MemoryArena:
         for i, r in enumerate(self._regions):
             if r.rid == region.rid:
                 del self._regions[i]
+                end = r.base + r.length
+                for lo in range(r.base, end, len(_ZEROS)):
+                    hi = min(lo + len(_ZEROS), end)
+                    self._view[lo:hi] = _ZEROS[: hi - lo]
                 return
         raise ValueError("region %d not reserved" % region.rid)

@@ -86,6 +86,9 @@ class RequestLine(NamedTuple):
     raw_len: int
 
 
+_new_tuple = tuple.__new__  # builds a RequestLine as RequestLine._make does
+
+
 @dataclass
 class ConnectionStats:
     served: int = 0
@@ -112,13 +115,15 @@ class ServerConfig:
 def parse_request_line(data: bytes, buf: Capability) -> RequestLine:
     """Copy ``data`` into ``buf`` and tokenize it as ``METHOD SP PATH LF``.
 
-    The copy intentionally skips any length check: input longer than the
-    buffer raises a bounds fault from the store itself, before a single
-    out-of-bounds byte lands.  Tokenizing reads back through the same
-    capability, so the parsed request provably came from guarded memory.
+    The copy intentionally skips any length check: it goes through a window
+    of ``buf`` sized by the input, not by the buffer, so input longer than the
+    buffer raises a bounds fault from that window's one check, before a
+    single out-of-bounds byte lands.  Tokenizing reads back through the same
+    window, so the parsed request provably came from guarded memory.
     """
-    buf.store(0, data)  # vulnerable on purpose: no length check
-    line = buf.load(0, len(data))
+    window = buf.view(0, len(data))  # vulnerable on purpose: no length check
+    window[:] = data
+    line = window.tobytes()
     if not line.endswith(b"\n"):
         raise ParseError("missing line terminator")
     parts = line[:-1].split(b" ")
@@ -129,7 +134,7 @@ def parse_request_line(data: bytes, buf: Capability) -> RequestLine:
         path = parts[1].decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError("non-ascii request line") from exc
-    return RequestLine(method, path, len(data))
+    return _new_tuple(RequestLine, (method, path, len(line)))
 
 
 class _FixedBufPool:
@@ -361,7 +366,7 @@ class GuardServer:
                     buf = conn.buf = malloc(cfg.header_buf_len)
                 while True:
                     try:
-                        parse_request_line(bytes(rbuf[start : nl + 1]), buf)
+                        parse_request_line(rbuf[start : nl + 1], buf)
                         out += ok_frame
                     except ParseError as exc:
                         out += b"ERR %s\n" % str(exc).replace(" ", "-").encode("ascii")

@@ -4,9 +4,10 @@ Port parameters follow the capability-width variant of the classic layout:
 16-byte alignment (ALIGN_SIZE_LOG2 = 4), header offsets in 16-byte units
 ("doubled sizeof(size_t)"), 32 second-level classes, small-block threshold
 256.  Per-block metadata lives in the arena.  A block is named by the arena
-offset of its header, and each header field is read or written by one
-capability load or store through the capability of the pool that holds it,
-so every metadata access is checked before a byte moves.  The control
+offset of its header.  An operation reaches each header it touches through
+one checked ``Capability.view`` of the pool that holds it and packs or
+unpacks the fields there, so every metadata access is checked before a byte
+moves, once per header rather than once per field.  The control
 structure's byte area is reserved at the head of the first pool but its
 contents are mirrored in host objects (bitmaps and list heads) rather than
 serialized.
@@ -26,11 +27,12 @@ overlapping links into free payloads does not carry over.  Each pool ends in
 a 32-byte sentinel (prev_phys + size fields only) whose size is zero.
 """
 
+import struct
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from capdomains.capmem import round_representable_length
+from capdomains.capmem import TagViolation, round_representable_length
 
 ALIGN = 16
 SL_LOG2 = 5
@@ -57,6 +59,14 @@ PREV_FREE_BIT = 2
 _SF_OFF = 16
 _NEXT_OFF = 32
 _PREV_LINK_OFF = 48
+
+# Each field is an 8-byte little-endian word at the start of its 16 bytes.
+# Links are stored +1, so that a stored zero means "none" even at arena
+# offset 0; in host code "none" is NIL, which the +1 turns into that zero.
+NIL = -1
+_HEADER = struct.Struct("<Q8xQ8xQ8xQ")  # the four fields of a header
+_PAIR = struct.Struct("<Q8xQ")  # two adjacent fields: prev_phys + size, or the links
+_WORD = struct.Struct("<Q")
 
 
 class AllocationError(Exception):
@@ -108,37 +118,19 @@ def _lsb(x):
     return (x & -x).bit_length() - 1
 
 
-# One header field is one 8-byte load or store through `cap`, the
-# capability of the pool that holds it.
-def _read(cap, addr):
-    return int.from_bytes(cap.load(addr, 8), "little")
-
-
-def _write(cap, addr, value):
-    cap.store(addr, value.to_bytes(8, "little"))
-
-
-# offsets are stored +1 so zero can mean "none" even at arena offset 0
-def _read_link(cap, addr):
-    raw = int.from_bytes(cap.load(addr, 8), "little")
-    return raw - 1 if raw else None
-
-
-def _write_link(cap, addr, off):
-    cap.store(addr, (0 if off is None else off + 1).to_bytes(8, "little"))
-
-
 class TlsfControl:
     """Allocator state over one or more pools, used through add_pool,
     malloc, free, payload_size, destroy, check, pools and stats.  These are
     serialized by an internal lock; distinct controls are independent.
-    free and payload_size refuse any capability that does not start a live
-    allocation, as a host-side set of live header offsets records them.
+    free and payload_size refuse any capability that does not span exactly
+    a live allocation, as a host-side record of header offsets and payload
+    lengths holds them, and fault on one whose tag is cleared.
 
-    A block is named by the arena offset of its header, and every header
-    field is checked through the capability of the pool that holds it, which
-    :meth:`_cap` finds.  Physical neighbours share a pool and its capability;
-    a free-list link may lead into another pool and is looked up again.
+    A block is named by the arena offset of its header, and each header is
+    reached through one view of the capability of the pool that holds it,
+    which :meth:`_cap` finds.  Physical neighbours share a pool and its
+    capability; a free-list link may lead into another pool and is looked
+    up again.
     """
 
     def __init__(self, max_pool_size, debug):
@@ -150,8 +142,10 @@ class TlsfControl:
         # capability over it addressed at 0, so a field is at its arena offset
         self._bases = []
         self._caps = []
-        self._heads = [[None] * SL_COUNT for _ in range(FL_COUNT)]
-        self._live_headers = set()  # header offsets of the live allocations
+        self._heads = [[NIL] * SL_COUNT for _ in range(FL_COUNT)]
+        # header offset -> payload length handed out, of each live allocation;
+        # a block that absorbed a remainder too small to split records more
+        self._live_headers = {}
         self._fl_bitmap = 0
         self._sl_bitmaps = [0] * FL_COUNT
         self._lock = threading.Lock()
@@ -198,11 +192,10 @@ class TlsfControl:
         self.stats.bytes_reserved += size
         payload = end - first - POOL_OVERHEAD
         sentinel = end - SENTINEL_SIZE
-        _write_link(cap, first, None)  # no physical predecessor
-        _write(cap, first + _SF_OFF, payload | FREE_BIT)
-        _write_link(cap, sentinel, first)
-        _write(cap, sentinel + _SF_OFF, PREV_FREE_BIT)
-        self._insert(cap, first, payload)
+        _PAIR.pack_into(cap.view(sentinel, SENTINEL_SIZE), 0, first + 1, PREV_FREE_BIT)
+        h = cap.view(first, HEADER_SIZE)
+        _PAIR.pack_into(h, 0, NIL + 1, payload | FREE_BIT)  # no physical predecessor
+        self._insert(h, first, payload)
 
     # ------------------------------------------------------------ lookup
 
@@ -215,47 +208,58 @@ class TlsfControl:
                 return cap
         raise InvalidFree("address %d is not inside any pool" % addr)
 
+    def _set_link(self, off, field, target):
+        """Point the link ``field`` of the header at ``off`` to ``target``."""
+        _WORD.pack_into(self._cap(off).view(off + field, FIELD), 0, target + 1)
+
     def _live(self, payload_cap):
-        """Pool capability, header offset and size+flags word of the live
-        allocation that starts at payload_cap.  Raises InvalidFree for any
-        other address, DoubleFree (one kind of it) for a free block."""
+        """Pool capability, header offset, header view and size+flags word
+        of the live allocation that payload_cap spans exactly.  A cleared tag
+        faults, as any other use of the capability would; DoubleFree (one
+        kind of InvalidFree) names a free block, InvalidFree anything else."""
         addr = payload_cap.address
+        if not payload_cap.tag:
+            raise TagViolation(addr)
         header = addr - HEADER_SIZE
         cap = self._cap(addr)
-        if header in self._live_headers:
-            return cap, header, _read(cap, header + _SF_OFF)
-        # only the host-side set vouches for a header: a size word inside a
+        length = self._live_headers.get(header)
+        if length is not None:
+            if payload_cap.base != addr or payload_cap.top != addr + length:
+                raise InvalidFree("capability does not span the allocation at %d" % addr)
+            h = cap.view(header, HEADER_SIZE)
+            return cap, header, h, _WORD.unpack_from(h, _SF_OFF)[0]
+        # only the host-side record vouches for a header: a size word inside a
         # live payload may be forged, so it is read here just to name the error
-        if addr % ALIGN == 0 and header >= cap.base and _read(cap, header + _SF_OFF) & FREE_BIT:
-            raise DoubleFree("block at %d already free" % header)
+        if addr % ALIGN == 0 and header >= cap.base:
+            if _WORD.unpack_from(cap.view(header, HEADER_SIZE), _SF_OFF)[0] & FREE_BIT:
+                raise DoubleFree("block at %d already free" % header)
         raise InvalidFree("address %d is not an allocation start" % addr)
 
     # ------------------------------------------------------------ free lists
 
-    def _insert(self, cap, off, size):
+    def _insert(self, h, off, size):
+        # h is the view of off's header; off goes to the head of its list
         fl, sl = mapping_insert(size)
         head = self._heads[fl][sl]
-        _write_link(cap, off + _NEXT_OFF, head)
-        _write_link(cap, off + _PREV_LINK_OFF, None)
-        if head is not None:
-            _write_link(self._cap(head), head + _PREV_LINK_OFF, off)
+        _PAIR.pack_into(h, _NEXT_OFF, head + 1, NIL + 1)
+        if head != NIL:
+            self._set_link(head, _PREV_LINK_OFF, off)
         self._heads[fl][sl] = off
         self._fl_bitmap |= 1 << fl
         self._sl_bitmaps[fl] |= 1 << sl
         if self.debug:
             self._touched.add((fl, sl))
 
-    def _unlink(self, cap, off, size):
+    def _unlink(self, size, next_off, prev_off):
+        # a free block of `size` with these links leaves its list
         fl, sl = mapping_insert(size)
-        next_off = _read_link(cap, off + _NEXT_OFF)
-        prev_off = _read_link(cap, off + _PREV_LINK_OFF)
-        if prev_off is None:
+        if prev_off == NIL:
             self._heads[fl][sl] = next_off
         else:
-            _write_link(self._cap(prev_off), prev_off + _NEXT_OFF, next_off)
-        if next_off is not None:
-            _write_link(self._cap(next_off), next_off + _PREV_LINK_OFF, prev_off)
-        if self._heads[fl][sl] is None:
+            self._set_link(prev_off, _NEXT_OFF, next_off)
+        if next_off != NIL:
+            self._set_link(next_off, _PREV_LINK_OFF, prev_off)
+        if self._heads[fl][sl] == NIL:
             self._sl_bitmaps[fl] &= ~(1 << sl)
             if not self._sl_bitmaps[fl]:
                 self._fl_bitmap &= ~(1 << fl)
@@ -272,61 +276,68 @@ class TlsfControl:
                 return self._heads[fl][_lsb(mask)]
         fl_mask = self._fl_bitmap & ~((1 << (fl + 1)) - 1)
         if not fl_mask:
-            return None
+            return NIL
         fl2 = _lsb(fl_mask)
         return self._heads[fl2][_lsb(self._sl_bitmaps[fl2])]
 
     # ------------------------------------------------------------ split/merge
 
     def _split(self, cap, off, size):
-        # off must be free; it leaves its list and comes back allocated,
-        # with any remainder of at least MIN_BLOCK relisted as a free block
-        sf = _read(cap, off + _SF_OFF)
+        # off must be free; it leaves its list and comes back allocated to a
+        # payload of `size`, with any remainder of at least MIN_BLOCK relisted
+        # as a free block.  A view of SENTINEL_SIZE holds the two fields that
+        # every block, the sentinel included, starts with.
+        h = cap.view(off, HEADER_SIZE)
+        _, sf, next_link, prev_link = _HEADER.unpack_from(h)
         free_size = sf & ~0xF
-        self._unlink(cap, off, free_size)
+        self._unlink(free_size, next_link - 1, prev_link - 1)
         prev_bit = sf & PREV_FREE_BIT
+        length = size
         rem_size = free_size - size - HEADER_SIZE
         if rem_size >= MIN_BLOCK:
             # the block after the remainder already records a free predecessor
             rem = off + HEADER_SIZE + size
-            _write(cap, off + _SF_OFF, size | prev_bit)
-            _write_link(cap, rem, off)
-            _write(cap, rem + _SF_OFF, rem_size | FREE_BIT)
-            _write_link(cap, rem + HEADER_SIZE + rem_size, rem)
-            self._insert(cap, rem, rem_size)
+            _WORD.pack_into(h, _SF_OFF, size | prev_bit)
+            rh = cap.view(rem, HEADER_SIZE)
+            _PAIR.pack_into(rh, 0, off + 1, rem_size | FREE_BIT)
+            _WORD.pack_into(cap.view(rem + HEADER_SIZE + rem_size, SENTINEL_SIZE), 0, rem + 1)
+            self._insert(rh, rem, rem_size)
         else:
             size = free_size
-            nxt = off + HEADER_SIZE + size
-            _write(cap, off + _SF_OFF, size | prev_bit)  # free bit cleared, size kept
-            _write(cap, nxt + _SF_OFF, _read(cap, nxt + _SF_OFF) & ~PREV_FREE_BIT)
+            _WORD.pack_into(h, _SF_OFF, size | prev_bit)  # free bit cleared, size kept
+            nh = cap.view(off + HEADER_SIZE + size, SENTINEL_SIZE)
+            _WORD.pack_into(nh, _SF_OFF, _WORD.unpack_from(nh, _SF_OFF)[0] & ~PREV_FREE_BIT)
         self.stats.bytes_allocated += size
         self.stats.live_allocations += 1
-        self._live_headers.add(off)
+        self._live_headers[off] = length
 
-    def _merge(self, cap, off, sf):
-        # off is allocated, with size+flags sf, and is being freed;
-        # coalesce both physical neighbors
+    def _merge(self, cap, off, h, sf):
+        # off is allocated, with header view h and size+flags sf, and is
+        # being freed; coalesce both physical neighbors
         size = sf & ~0xF
         self.stats.bytes_allocated -= size
         self.stats.live_allocations -= 1
-        self._live_headers.remove(off)
+        del self._live_headers[off]
         if sf & PREV_FREE_BIT:
-            prev = _read_link(cap, off)
-            prev_size = _read(cap, prev + _SF_OFF) & ~0xF
-            self._unlink(cap, prev, prev_size)
-            size += HEADER_SIZE + prev_size
-            off = prev
+            off = _WORD.unpack_from(h)[0] - 1
+            h = cap.view(off, HEADER_SIZE)
+            _, prev_sf, next_link, prev_link = _HEADER.unpack_from(h)
+            self._unlink(prev_sf & ~0xF, next_link - 1, prev_link - 1)
+            size += HEADER_SIZE + (prev_sf & ~0xF)
         nxt = off + HEADER_SIZE + size
-        nxt_sf = _read(cap, nxt + _SF_OFF)
+        # a whole header, but only the two fields of a pool's end sentinel
+        nh = cap.view(nxt, HEADER_SIZE if nxt + HEADER_SIZE < cap.top else SENTINEL_SIZE)
+        nxt_sf = _WORD.unpack_from(nh, _SF_OFF)[0]
         if nxt_sf & FREE_BIT:
-            self._unlink(cap, nxt, nxt_sf & ~0xF)
+            next_link, prev_link = _PAIR.unpack_from(nh, _NEXT_OFF)
+            self._unlink(nxt_sf & ~0xF, next_link - 1, prev_link - 1)
             size += HEADER_SIZE + (nxt_sf & ~0xF)
             nxt = off + HEADER_SIZE + size
-            nxt_sf = _read(cap, nxt + _SF_OFF)
-        _write(cap, off + _SF_OFF, size | FREE_BIT)  # prev of a merged block is never free
-        _write_link(cap, nxt, off)
-        _write(cap, nxt + _SF_OFF, nxt_sf | PREV_FREE_BIT)
-        self._insert(cap, off, size)
+            nh = cap.view(nxt, SENTINEL_SIZE)
+            nxt_sf = _WORD.unpack_from(nh, _SF_OFF)[0]
+        _WORD.pack_into(h, _SF_OFF, size | FREE_BIT)  # prev of a merged block is never free
+        _PAIR.pack_into(nh, 0, off + 1, nxt_sf | PREV_FREE_BIT)
+        self._insert(h, off, size)
 
     # ------------------------------------------------------------ malloc/free
 
@@ -335,7 +346,7 @@ class TlsfControl:
             self._ensure_alive()
             rounded = round_representable_length(size)
             off = self._find(rounded)
-            if off is None:
+            if off == NIL:
                 raise OutOfMemory("no free block for %d bytes" % rounded)
             cap = self._cap(off)
             self._split(cap, off, rounded)
@@ -351,10 +362,10 @@ class TlsfControl:
 
     def payload_size(self, cap):
         """Rounded size recorded in the header of a live allocation.  Like
-        :meth:`free`, refuses any capability that does not start one."""
+        :meth:`free`, refuses any capability that does not span exactly one."""
         with self._lock:
             self._ensure_alive()
-            return self._live(cap)[2] & ~0xF
+            return self._live(cap)[3] & ~0xF
 
     def destroy(self):
         """Hand every pool back for arena-level reclamation; the control is
@@ -376,9 +387,9 @@ class TlsfControl:
         for fl, sl in self._touched:
             head = self._heads[fl][sl]
             bit = bool(self._sl_bitmaps[fl] >> sl & 1)
-            assert bit == (head is not None), "bitmap desync at (%d, %d)" % (fl, sl)
-            if head is not None:
-                sf = _read(self._cap(head), head + _SF_OFF)
+            assert bit == (head != NIL), "bitmap desync at (%d, %d)" % (fl, sl)
+            if head != NIL:
+                sf = _WORD.unpack_from(self._cap(head).view(head, HEADER_SIZE), _SF_OFF)[0]
                 assert sf & FREE_BIT
                 assert mapping_insert(sf & ~0xF) == (fl, sl)
         self._touched.clear()
@@ -396,14 +407,14 @@ class TlsfControl:
         allocated_bytes = 0
         for cap in self._caps:
             off, end = cap.base, cap.top - SENTINEL_SIZE
-            prev_off = None
+            prev_off = NIL
             prev_was_free = False
             while off < end:
-                sf = _read(cap, off + _SF_OFF)
+                prev_link, sf = _PAIR.unpack_from(cap.view(off, SENTINEL_SIZE))
                 size, is_free = sf & ~0xF, bool(sf & FREE_BIT)
                 assert size >= MIN_BLOCK and size % ALIGN == 0
                 assert bool(sf & PREV_FREE_BIT) == prev_was_free
-                assert _read_link(cap, off) == prev_off
+                assert prev_link - 1 == prev_off
                 assert not (prev_was_free and is_free), "unmerged neighbors"
                 if is_free:
                     free_by_walk[off] = size
@@ -413,33 +424,34 @@ class TlsfControl:
                 prev_off, prev_was_free = off, is_free
                 off += HEADER_SIZE + size
             assert off == end, "walk must land on the sentinel"
-            assert _read(cap, off + _SF_OFF) == (PREV_FREE_BIT if prev_was_free else 0)
-            assert _read_link(cap, off) == prev_off
+            prev_link, sf = _PAIR.unpack_from(cap.view(off, SENTINEL_SIZE))
+            assert sf == (PREV_FREE_BIT if prev_was_free else 0)
+            assert prev_link - 1 == prev_off
         listed = {}
         for fl in range(FL_COUNT):
             for sl in range(SL_COUNT):
                 head = self._heads[fl][sl]
                 bit = bool(self._sl_bitmaps[fl] >> sl & 1)
-                assert bit == (head is not None)
+                assert bit == (head != NIL)
                 off = head
-                prev_link = None
+                prev_off = NIL
                 steps = 0
-                while off is not None:
+                while off != NIL:
                     steps += 1
                     assert steps <= len(free_by_walk) + 1, "free-list cycle"
-                    link_cap = self._cap(off)
-                    sf = _read(link_cap, off + _SF_OFF)
+                    _, sf, next_link, prev_link = _HEADER.unpack_from(
+                        self._cap(off).view(off, HEADER_SIZE))
                     assert sf & FREE_BIT
                     assert mapping_insert(sf & ~0xF) == (fl, sl)
-                    assert _read_link(link_cap, off + _PREV_LINK_OFF) == prev_link
+                    assert prev_link - 1 == prev_off
                     assert off not in listed
                     listed[off] = sf & ~0xF
-                    prev_link = off
-                    off = _read_link(link_cap, off + _NEXT_OFF)
+                    prev_off = off
+                    off = next_link - 1
         assert listed == free_by_walk, "free lists and physical walk disagree"
         assert self.stats.bytes_allocated == allocated_bytes
         assert self.stats.live_allocations == len(allocated)
-        assert self._live_headers == allocated, "live set and physical walk disagree"
+        assert self._live_headers.keys() == allocated, "live set and physical walk disagree"
         assert self.stats.bytes_reserved == sum(p.size for p in self._pools)
 
 

@@ -8,6 +8,7 @@ from capdomains.capmem import (
     ArenaExhausted,
     BoundsViolation,
     FaultKind,
+    FaultRecord,
     MemoryArena,
     PermissionViolation,
     TagViolation,
@@ -133,6 +134,29 @@ def test_load_only_cap_rejects_writes():
     assert ro.load(0, 4) == b"\x00" * 4
 
 
+def test_view_needs_load_and_store():
+    arena = MemoryArena(64)
+    for load, store in ((True, False), (False, True), (False, False)):
+        cap = arena.root.address_set(8).perms_and(load=load, store=store)
+        with pytest.raises(PermissionViolation) as ei:
+            cap.view(4, 16)
+        assert ei.value.record == FaultRecord(FaultKind.PERMISSION, 12, 16)
+
+
+def test_view_writes_land_at_arena_offsets():
+    arena = MemoryArena(256)
+    cap = arena.root.address_set(32).bounds_set(64).address_set(40)
+    window = cap.view(8, 16)  # arena bytes [48, 64)
+    window[:] = bytes(range(1, 17))
+    window[0] = 0xFF
+    expected = bytearray(256)
+    expected[48:64] = b"\xff" + bytes(range(2, 17))
+    assert arena.snapshot() == bytes(expected)
+    assert cap.load(8, 16) == bytes(window)
+    cap.store(8, b"Z")
+    assert window[0] == ord("Z"), "the view is the arena, not a copy"
+
+
 def test_perms_can_only_clear():
     arena = MemoryArena(64)
     ro = arena.root.perms_and(load=True, store=False)
@@ -149,6 +173,9 @@ def test_check_order_tag_beats_everything():
         worst.store(100, b"abc")  # untagged AND no perms AND out of bounds
     with pytest.raises(TagViolation):
         worst.load(100, 3)
+    with pytest.raises(TagViolation) as ei:
+        worst.view(100, 3)
+    assert ei.value.record == FaultRecord(FaultKind.TAG, 100, 3)
 
 
 def test_check_order_permission_beats_bounds():
@@ -158,6 +185,12 @@ def test_check_order_permission_beats_bounds():
         noperm.store(100, b"abc")
     with pytest.raises(PermissionViolation):
         noperm.load(100, 3)
+    with pytest.raises(PermissionViolation) as ei:
+        noperm.view(100, 3)
+    assert ei.value.record == FaultRecord(FaultKind.PERMISSION, 100, 3)
+    with pytest.raises(BoundsViolation) as ei:
+        arena.root.bounds_set(8).view(100, 3)
+    assert ei.value.record == FaultRecord(FaultKind.BOUNDS, 100, 3)
 
 
 def test_fault_before_mutation_randomized():
@@ -178,6 +211,35 @@ def test_fault_before_mutation_randomized():
         else:
             lo = cap.address + off
             assert cap.base <= lo and lo + len(data) <= cap.top
+
+
+def test_view_faults_before_mutation_randomized():
+    # a view faults exactly as a store of the same window does, before any
+    # byte moves; a view that is granted spans only bytes inside the bounds
+    rng = random.Random(4321)
+    arena = MemoryArena(4096)
+    root = arena.root
+    root.store(0, bytes(rng.randrange(256) for _ in range(4096)))
+    for _ in range(400):
+        base = rng.randrange(0, 4096 - 64)
+        cap = root.address_set(base).bounds_set(rng.randrange(16, 64))
+        before = arena.snapshot()
+        off = rng.randrange(-64, 128)
+        length = rng.randrange(1, 96)
+        try:
+            window = cap.view(off, length)
+        except BoundsViolation as exc:
+            assert arena.snapshot() == before
+            with pytest.raises(BoundsViolation) as ei:
+                cap.store(off, b"\x00" * length)
+            assert exc.record == ei.value.record
+            assert arena.snapshot() == before
+        else:
+            lo = cap.address + off
+            assert cap.base <= lo and lo + length <= cap.top
+            window[:] = b"\xee" * length
+            assert arena.snapshot() == before[:lo] + b"\xee" * length + before[lo + length:]
+            window[:] = before[lo : lo + length]
 
 
 def test_monotonic_authority_chains():
@@ -276,6 +338,24 @@ def test_empty_access_is_tag_checked_but_never_bounds_checked():
     assert cap.load(100, 0) == b""
     with pytest.raises(TagViolation):
         cap.untagged().store(100, b"")
+    assert len(cap.view(100, 0)) == 0
+    with pytest.raises(TagViolation):
+        cap.untagged().view(100, 0)
+
+
+def test_release_zeroes_the_region():
+    # a released region reads as a fresh mmap's pages would, and the bytes
+    # around it are left alone
+    arena = MemoryArena(300 * 1024)
+    arena.reserve(16)
+    region = arena.reserve(200 * 1024 + 16)  # more than one zeroing chunk
+    arena.reserve(16)
+    arena.root.store(0, b"\xa5" * arena.size)
+    arena.release(region)
+    snap = arena.snapshot()
+    assert snap[region.base : region.base + region.length] == bytes(region.length)
+    assert snap[: region.base] == b"\xa5" * region.base
+    assert set(snap[region.base + region.length :]) == {0xA5}
 
 
 def test_capability_equality_and_repr():

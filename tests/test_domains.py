@@ -465,6 +465,41 @@ def test_cross_domain_free_rejected():
         mgr.domain_call(2, in_two)
 
 
+def test_dfree_needs_the_allocation_s_own_capability():
+    mgr = small_manager()
+    caps = {}
+
+    def allocate():
+        caps["a"], caps["b"] = mgr.dalloc(64), mgr.dalloc(64)
+
+    mgr.domain_call(1, allocate)
+    # a cleared tag faults like any other use of the capability: the domain goes
+    out = mgr.domain_call(1, lambda: mgr.dfree(caps["a"].untagged()))
+    assert isinstance(out, Aborted) and out.fault.kind is FaultKind.TAG
+    assert mgr.heap_of(1) is None
+    mgr.domain_call(1, allocate)
+    narrowed = caps["b"].bounds_set(16)
+    with pytest.raises(InvalidFree):
+        mgr.domain_call(1, lambda: mgr.dfree(narrowed))
+    with pytest.raises(InvalidFree):
+        mgr.domain_call(1, lambda: mgr.drealloc(narrowed, 128))
+    assert mgr.heap_of(1).stats.live_allocations == 2
+    mgr.domain_call(1, lambda: mgr.dfree(caps["b"]))
+    assert mgr.heap_of(1).stats.live_allocations == 1
+
+
+def test_a_discarded_heap_is_scrubbed():
+    mgr = small_manager()
+
+    def leak_then_fault():
+        mgr.dalloc(64).store(0, b"PASSWORD")
+        mgr.dalloc(16).store(0, b"x" * 17)
+
+    assert isinstance(mgr.domain_call(1, leak_then_fault), Aborted)
+    seen = mgr.domain_call(3, lambda: mgr.dalloc(64).load(0, 64)).value
+    assert seen == bytes(64), "a fresh heap must not show a discarded domain's bytes"
+
+
 def test_dfree_none_is_noop():
     mgr = small_manager()
     mgr.dfree(None)

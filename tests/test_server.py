@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from capdomains import server as server_mod
-from capdomains.capmem import BoundsViolation
+from capdomains.capmem import BoundsViolation, Capability, FaultKind, FaultRecord
 from capdomains.domains import DomainManager
 from capdomains.server import (
     GuardServer,
@@ -88,6 +88,27 @@ def test_parse_request_line_happy_path():
     assert req.raw_len == 11
     # the copy really went through the capability
     assert buf.load(0, 11) == b"GET /index\n"
+
+
+def test_a_parsed_line_makes_one_checked_access(monkeypatch):
+    _, buf = parse_buf()
+    calls = dict.fromkeys(("store", "load", "view"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(Capability, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(Capability, name, counted)
+    for line in (b"GET /index\n", b"BLAH\n"):
+        try:
+            parse_request_line(bytearray(line), buf)
+        except ParseError:
+            pass
+    assert sum(calls.values()) == 2, calls
+    # one byte over the buffer faults on that one access, as a store would
+    with pytest.raises(BoundsViolation) as ei:
+        parse_request_line(bytearray(b"A" * 64 + b"\n"), buf)
+    assert ei.value.record == FaultRecord(FaultKind.BOUNDS, buf.base, 65)
+    assert sum(calls.values()) == 3, calls
 
 
 def test_parse_oversized_faults_before_corruption():

@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from capdomains.capmem import BoundsViolation, MemoryArena
+from capdomains.capmem import BoundsViolation, Capability, MemoryArena, TagViolation
 from capdomains.tlsf import (
     CONTROL_SIZE,
     DEFAULT_MAX_POOL_SIZE,
@@ -336,6 +336,52 @@ def test_interior_capability_is_refused_despite_a_forged_header():
     assert ctrl.payload_size(victim) == 256
     ctrl.free(victim)
     ctrl.check()
+
+
+def test_capability_without_the_allocation_s_authority_is_refused():
+    arena, ctrl = fresh_control()
+    live = ctrl.malloc(64)
+    before = pool_blocks(arena, ctrl)
+    with pytest.raises(TagViolation):
+        ctrl.free(live.untagged())
+    with pytest.raises(TagViolation):
+        ctrl.payload_size(live.untagged())
+    for cap in (
+        live.bounds_set(16),  # narrowed below the allocation
+        arena.root.address_set(live.base),  # wider than the allocation
+    ):
+        with pytest.raises(InvalidFree):
+            ctrl.free(cap)
+        with pytest.raises(InvalidFree):
+            ctrl.payload_size(cap)
+    assert pool_blocks(arena, ctrl) == before
+    # a capability equal to the one malloc handed out still frees it, also
+    # where the block kept a remainder too small to split off
+    ctrl.free(live.address_set(live.base))
+    hole = 64 + HEADER_SIZE + MIN_BLOCK
+    ctrl.malloc(FRESH_64K - hole - HEADER_SIZE)
+    slack = ctrl.malloc(hole - 16)
+    assert ctrl.payload_size(slack) == hole
+    ctrl.free(slack)
+    ctrl.check()
+
+
+def test_malloc_and_free_check_each_header_once(monkeypatch):
+    # the noise-free gate on the allocator's cost: checked accesses per
+    # malloc(64) + free in the steady state of a long-lived heap
+    arena, ctrl = fresh_control()
+    keep = ctrl.malloc(64)
+    ctrl.free(ctrl.malloc(64))
+    calls = dict.fromkeys(("store", "load", "view", "address_set", "bounds_set"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(Capability, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(Capability, name, counted)
+    ctrl.free(ctrl.malloc(64))
+    assert calls["store"] + calls["load"] + calls["view"] <= 8, calls
+    assert (calls["address_set"], calls["bounds_set"]) == (1, 1), calls
+    ctrl.free(keep)
 
 
 def test_double_free_of_a_block_merged_into_its_predecessor():
