@@ -10,10 +10,18 @@ representable on derivation; only dereferencing them faults.
 whole window once and hands back a writable memoryview of it, so a caller
 that reads and writes several fields of one record (an allocator header, a
 request line) pays for one check, not one per field.
+
+The arena is an anonymous private mapping, so a page is committed only when
+something first writes to it, and releasing a region hands its whole pages
+back to the kernel, as discarding a domain does in SDRaD.
 """
 
 import enum
-from dataclasses import dataclass, replace
+import mmap
+import sys
+from bisect import bisect_left, insort
+from dataclasses import dataclass
+from operator import attrgetter
 
 
 class FaultKind(enum.Enum):
@@ -32,7 +40,7 @@ class FaultRecord:
     domain_udi: int = 0
 
     def with_domain(self, udi):
-        return replace(self, domain_udi=udi)
+        return FaultRecord(self.kind, self.faulting_address, self.access_len, udi)
 
 
 class ProtectionFault(Exception):
@@ -214,27 +222,37 @@ class Capability:
         return self._arena._view[addr : addr + length]
 
 
-# copied over a released region chunk by chunk; small, so it adds little RSS
-_ZEROS = memoryview(bytes(64 * 1024))
+_PAGE = mmap.PAGESIZE
+# copied over the parts of a released region that are not whole pages
+_ZEROS = memoryview(bytes(_PAGE))
+# On Linux, MADV_DONTNEED on a private anonymous mapping drops the pages and
+# refills them with zeros on the next touch.  Elsewhere it is only a hint
+# that may keep the old bytes, so release copies zeros over the whole region.
+_DONTNEED_ZEROES = sys.platform.startswith("linux") and hasattr(mmap, "MADV_DONTNEED")
+_BASE = attrgetter("base")
 
 
 class MemoryArena:
     """Flat zero-filled byte store; the sole target of capability accesses.
 
+    The store is an anonymous private mapping: it reads as zeros, and a page
+    becomes resident only when something first writes to it, so an arena
+    larger than what its heaps use costs address space, not memory.
+
     Also keeps a non-overlapping reserved-region ledger (the mmap stand-in)
     so heap discards can be audited: reserved_bytes must return to its prior
-    value when a domain is destroyed.  A released region is zeroed, as the
-    pages of a fresh mmap are, so nothing written into a discarded heap can
-    be read out of the next one.
+    value when a domain is destroyed.  A released region reads as zeros
+    again, as the pages of a fresh mmap do, so nothing written into a
+    discarded heap can be read out of the next one; its whole pages go back
+    to the kernel.
     """
 
     def __init__(self, size):
         if size <= 0:
             raise ValueError("arena size must be positive")
         self.size = size
-        self._mem = bytearray(size)
-        # loads copy once, out of this view; it also pins _mem's size, which
-        # stores (equal-length slice assignments) never change
+        self._mem = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        # loads copy once, out of this view
         self._view = memoryview(self._mem)
         self._regions = []  # sorted by base
         self._next_rid = 1
@@ -263,17 +281,35 @@ class MemoryArena:
             )
         region = ReservedRegion(candidate, length, self._next_rid, tag)
         self._next_rid += 1
-        self._regions.append(region)
-        self._regions.sort(key=lambda r: r.base)
+        insort(self._regions, region, key=_BASE)
         return region
 
     def release(self, region):
-        for i, r in enumerate(self._regions):
-            if r.rid == region.rid:
-                del self._regions[i]
-                end = r.base + r.length
-                for lo in range(r.base, end, len(_ZEROS)):
-                    hi = min(lo + len(_ZEROS), end)
-                    self._view[lo:hi] = _ZEROS[: hi - lo]
+        """Hand back a region that ``reserve`` of this arena returned.
+
+        Afterwards the region reads as zeros.  Its whole pages are dropped
+        with ``MADV_DONTNEED``; zeros are copied over the partial pages at
+        either end, which a neighbouring region may share.
+        """
+        i = bisect_left(self._regions, region.base, key=_BASE)
+        # rids restart at 1 in every arena, so only the object itself
+        # proves the region came from this ledger
+        if i == len(self._regions) or self._regions[i] is not region:
+            raise ValueError("region %d not reserved" % region.rid)
+        del self._regions[i]
+        lo = region.base
+        end = lo + region.length
+        if _DONTNEED_ZEROES:
+            first = -(-lo // _PAGE) * _PAGE
+            last = end // _PAGE * _PAGE
+            if first < last:
+                self._mem.madvise(mmap.MADV_DONTNEED, first, last - first)
+                self._zero(lo, first)
+                self._zero(last, end)
                 return
-        raise ValueError("region %d not reserved" % region.rid)
+        self._zero(lo, end)
+
+    def _zero(self, lo, end):
+        for a in range(lo, end, _PAGE):
+            b = min(a + _PAGE, end)
+            self._view[a:b] = _ZEROS[: b - a]

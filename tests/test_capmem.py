@@ -1,9 +1,11 @@
 """Capability memory model: fault-before-mutation, monotonic authority, check order."""
 
 import random
+import sys
 
 import pytest
 
+from capdomains import capmem
 from capdomains.capmem import (
     ArenaExhausted,
     BoundsViolation,
@@ -331,6 +333,24 @@ def test_release_unknown_region_rejected():
         arena.release(region)
 
 
+def test_release_refuses_another_arenas_region():
+    # rids restart at 1 in every arena, so a ledger matched by rid would free
+    # this arena's live region when handed another arena's
+    mine = MemoryArena(4096)
+    live = mine.reserve(16)
+    mine.root.store(live.base, b"\x5a" * 16)
+    bigger = MemoryArena(4096).reserve(64)
+    twin = MemoryArena(4096).reserve(16)
+    assert twin == live  # same base, length, rid and tag, but not reserved here
+    for foreign in (bigger, twin):
+        with pytest.raises(ValueError):
+            mine.release(foreign)
+    assert mine.reserved_bytes == 16
+    assert mine.root.load(live.base, 16) == b"\x5a" * 16
+    mine.release(live)
+    assert mine.reserved_bytes == 0
+
+
 def test_empty_access_is_tag_checked_but_never_bounds_checked():
     arena = MemoryArena(64)
     cap = arena.root.bounds_set(16)
@@ -356,6 +376,62 @@ def test_release_zeroes_the_region():
     assert snap[region.base : region.base + region.length] == bytes(region.length)
     assert snap[: region.base] == b"\xa5" * region.base
     assert set(snap[region.base + region.length :]) == {0xA5}
+
+
+PAGE = capmem._PAGE
+
+
+@pytest.mark.parametrize("madvise", [True, False], ids=["madvise", "copy"])
+@pytest.mark.parametrize(
+    "base, length",
+    [
+        (PAGE, 2 * PAGE),  # whole pages only
+        (PAGE + 16, 256),  # inside one page
+        (PAGE + PAGE // 2, PAGE),  # across one page boundary, no whole page
+        (PAGE + 1024, 2 * PAGE + 512),  # starts and ends mid-page
+    ],
+    ids=["aligned", "inside-one-page", "straddles-a-boundary", "mid-page-ends"],
+)
+def test_release_zeroes_partial_pages_and_spares_neighbours(monkeypatch, base, length, madvise):
+    if madvise and not capmem._DONTNEED_ZEROES:
+        pytest.skip("MADV_DONTNEED does not zero-fill on this platform")
+    monkeypatch.setattr(capmem, "_DONTNEED_ZEROES", madvise)
+    arena = MemoryArena(8 * PAGE)
+    left = arena.reserve(base)
+    region = arena.reserve(length)
+    right = arena.reserve(arena.size - region.base - length)
+    assert (left.base, region.base, right.base) == (0, base, base + length)
+    arena.root.store(0, b"\xa5" * arena.size)
+    arena.release(region)
+    snap = arena.snapshot()
+    assert snap[base : base + length] == bytes(length)
+    assert snap[:base] == b"\xa5" * base
+    assert snap[base + length :] == b"\xa5" * right.length
+    assert arena.reserved_bytes == left.length + right.length
+
+
+def _rss_bytes():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmRSS from /proc")
+def test_arena_pages_are_committed_on_first_touch_and_given_back_on_release():
+    mib = 1 << 20
+    before = _rss_bytes()
+    arena = MemoryArena(64 * mib)
+    assert _rss_bytes() - before < 1 * mib
+    region = arena.reserve(32 * mib)
+    chunk = b"\x5a" * mib
+    for off in range(0, region.length, mib):
+        arena.root.store(region.base + off, chunk)
+    written = _rss_bytes()
+    arena.release(region)
+    assert written - _rss_bytes() >= 24 * mib
+    assert arena.root.load(region.base + region.length - 16, 16) == bytes(16)
 
 
 def test_capability_equality_and_repr():
