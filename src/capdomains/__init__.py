@@ -1,91 +1,4 @@
-"""Isolated in-process domains with private heaps on an emulated capability memory model."""
+"""Isolated in-process domains with private heaps on an emulated capability memory model.
 
-from capdomains.capmem import (
-    ArenaExhausted,
-    BoundsViolation,
-    Capability,
-    FaultKind,
-    FaultRecord,
-    MemoryArena,
-    PermissionViolation,
-    Permissions,
-    ProtectionFault,
-    TagViolation,
-    round_representable_length,
-)
-from capdomains.tlsf import (
-    AllocationError,
-    DoubleFree,
-    InvalidFree,
-    OutOfMemory,
-    TlsfControl,
-    mapping_insert,
-    tlsf_create_with_pool,
-)
-from capdomains.domains import (
-    Aborted,
-    DomainManager,
-    DomainOutcome,
-    HeapInitError,
-    MainDomainFault,
-    Normal,
-    StatusCode,
-)
-from capdomains.server import (
-    ConnectionStats,
-    GuardServer,
-    ParseError,
-    RequestLine,
-    ServerConfig,
-    parse_request_line,
-)
-from capdomains.bench import (
-    BenchConfig,
-    BenchResult,
-    attack,
-    compare_modes,
-    demo,
-    run_matrix,
-    run_workload,
-)
-
-__all__ = [
-    "Aborted",
-    "AllocationError",
-    "ArenaExhausted",
-    "attack",
-    "BenchConfig",
-    "BenchResult",
-    "BoundsViolation",
-    "Capability",
-    "compare_modes",
-    "ConnectionStats",
-    "demo",
-    "DomainManager",
-    "DomainOutcome",
-    "DoubleFree",
-    "FaultKind",
-    "FaultRecord",
-    "GuardServer",
-    "HeapInitError",
-    "InvalidFree",
-    "MainDomainFault",
-    "mapping_insert",
-    "MemoryArena",
-    "Normal",
-    "OutOfMemory",
-    "ParseError",
-    "parse_request_line",
-    "PermissionViolation",
-    "Permissions",
-    "ProtectionFault",
-    "RequestLine",
-    "round_representable_length",
-    "run_matrix",
-    "run_workload",
-    "ServerConfig",
-    "StatusCode",
-    "TagViolation",
-    "TlsfControl",
-    "tlsf_create_with_pool",
-]
+Import from the submodules: ``capmem``, ``tlsf``, ``domains``, ``server``, ``bench``, ``cli``.
+"""

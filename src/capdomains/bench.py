@@ -28,7 +28,7 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = "mode,payload,run,requests,rps,served,rejected"
 COMPARE_CSV_HEADER = "mode,payload,rps_mean,rps_std,overhead_pct"
-OVERSIZE_LEN = 200  # > header_buf_len, triggers the parser fault
+OVERSIZE_LEN = 200  # > server.HEADER_BUF_LEN, triggers the parser fault
 BENIGN_LINE = b"GET /bench\n"
 
 
@@ -292,6 +292,9 @@ def run_matrix(
     malicious_ratio: float = 0.0,
 ) -> List[BenchResult]:
     """Measure every mode x payload cell against in-process servers."""
+    unknown = [p for p in payloads if p not in PAYLOAD_BYTES]
+    if unknown:
+        raise ValueError(f"unknown payloads {unknown}: choose from {', '.join(PAYLOAD_BYTES)}")
     results = []
     for mode in modes:
         for payload in payloads:

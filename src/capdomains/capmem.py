@@ -86,8 +86,6 @@ PERM_RW = Permissions(load=True, store=True)
 class ReservedRegion:
     base: int
     length: int
-    rid: int
-    tag: str = ""
 
 
 def round_representable_length(size):
@@ -255,7 +253,6 @@ class MemoryArena:
         # loads copy once, out of this view
         self._view = memoryview(self._mem)
         self._regions = []  # sorted by base
-        self._next_rid = 1
         self.root = Capability(self, 0, 0, size, PERM_RW, True)
 
     def snapshot(self):
@@ -265,7 +262,7 @@ class MemoryArena:
     def reserved_bytes(self):
         return sum(r.length for r in self._regions)
 
-    def reserve(self, length, tag=""):
+    def reserve(self, length):
         """First-fit reservation at a 16-aligned base.  Regions never overlap."""
         if length <= 0:
             raise ValueError("region length must be positive")
@@ -279,8 +276,7 @@ class MemoryArena:
                 "no %d-byte gap in %d-byte arena (%d reserved)"
                 % (length, self.size, self.reserved_bytes)
             )
-        region = ReservedRegion(candidate, length, self._next_rid, tag)
-        self._next_rid += 1
+        region = ReservedRegion(candidate, length)
         insort(self._regions, region, key=_BASE)
         return region
 
@@ -292,10 +288,10 @@ class MemoryArena:
         either end, which a neighbouring region may share.
         """
         i = bisect_left(self._regions, region.base, key=_BASE)
-        # rids restart at 1 in every arena, so only the object itself
-        # proves the region came from this ledger
+        # another arena can hand out an equal region, so only the object
+        # itself proves the region came from this ledger
         if i == len(self._regions) or self._regions[i] is not region:
-            raise ValueError("region %d not reserved" % region.rid)
+            raise ValueError("region at %d not reserved" % region.base)
         del self._regions[i]
         lo = region.base
         end = lo + region.length

@@ -21,7 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0, help="0 picks a free port")
     p.add_argument("--mode", choices=MODES, default="domains")
     p.add_argument("--payload", choices=PAYLOAD_BYTES, default="0k")
-    p.add_argument("--buf-len", type=int, default=64, help="request line buffer size")
     p.add_argument("--host", default="127.0.0.1")
 
     p = sub.add_parser("bench", help="closed-loop load against a running server")
@@ -59,7 +58,6 @@ def _cmd_serve(args) -> int:
         listen_port=args.port,
         mode=args.mode,
         payload_size=PAYLOAD_BYTES[args.payload],
-        header_buf_len=args.buf_len,
         host=args.host,
     )
     srv = GuardServer(cfg)

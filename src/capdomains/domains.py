@@ -78,16 +78,16 @@ class Normal:
 class Aborted:
     """The routine faulted and its domain was discarded."""
 
-    __slots__ = ("fault", "rewind_code")
+    __slots__ = ("fault",)
     aborted = True
     status = StatusCode.ABNORMAL_EXIT
+    rewind_code = REWIND_FAULT_CODE
 
-    def __init__(self, fault: FaultRecord, rewind_code: int = REWIND_FAULT_CODE):
+    def __init__(self, fault: FaultRecord):
         self.fault = fault
-        self.rewind_code = rewind_code
 
     def __repr__(self):
-        return f"Aborted({self.fault!r}, rewind_code={self.rewind_code})"
+        return f"Aborted({self.fault!r})"
 
 
 DomainOutcome = Union[Normal, Aborted]
@@ -304,7 +304,7 @@ class DomainManager:
             raise HeapInitError(f"heap size {size} for domain {self.active_domain} is not positive")
         size = (size + 15) & ~15
         try:
-            region = self.arena.reserve(size, tag=f"domain{self.active_domain}-heap")
+            region = self.arena.reserve(size)
         except ArenaExhausted as exc:
             raise HeapInitError(
                 f"arena cannot hold a {size}-byte heap for domain {self.active_domain}"

@@ -53,9 +53,8 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Dict, NamedTuple, Optional
 
-from .capmem import (ArenaExhausted, Capability, MemoryArena, ProtectionFault,
-                     round_representable_length)
-from .domains import Aborted, DomainManager, HeapInitError, MainDomainFault
+from .capmem import Capability, MemoryArena, ProtectionFault, round_representable_length
+from .domains import HEAP_SIZE_ENV, Aborted, DomainManager, HeapInitError, MainDomainFault
 from .tlsf import AllocationError, tlsf_create_with_pool
 
 log = logging.getLogger(__name__)
@@ -65,7 +64,7 @@ PAYLOAD_BYTES = {"0k": 0, "1k": 1024, "4k": 4096, "16k": 16384}
 PARSE_DOMAIN_UDI = 1  # single nested domain reserved for request parsing
 
 # enough for any benign request line; attacks must exceed it
-DEFAULT_HEADER_BUF_LEN = 64
+HEADER_BUF_LEN = 64
 MAX_LINE = 64 * 1024  # reads beyond this without a newline are protocol abuse
 # queued reply bytes at which a connection's lines stop being answered until
 # the client reads; bounds what one non-reading client can make the worker hold
@@ -102,14 +101,13 @@ class ServerConfig:
     listen_port: int
     mode: str
     payload_size: int
-    header_buf_len: int = DEFAULT_HEADER_BUF_LEN
     host: str = "127.0.0.1"
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.payload_size < 0 or self.header_buf_len < 16:
-            raise ValueError("payload_size must be >= 0 and header_buf_len >= 16")
+        if self.payload_size < 0:
+            raise ValueError("payload_size must be >= 0")
 
 
 def parse_request_line(data: bytes, buf: Capability) -> RequestLine:
@@ -146,7 +144,7 @@ class _FixedBufPool:
 
     def __init__(self, arena: MemoryArena, each: int, count: int):
         self.each = round_representable_length(each)
-        self.region = arena.reserve(self.each * count, tag="conn-buffers")
+        self.region = arena.reserve(self.each * count)
         self._root = arena.root
         self._free = list(range(count - 1, -1, -1))
 
@@ -205,8 +203,9 @@ class GuardServer:
     # ------------------------------------------------------------ lifecycle
 
     def start(self) -> None:
-        """Build the per-mode state, then listen and start the worker.  A
-        request buffer that can never be served raises ValueError first."""
+        """Build the per-mode state, then listen and start the worker.  In
+        domains mode, an ``APP_HEAP_SIZE`` that leaves no heap able to hold a
+        request buffer raises ValueError first."""
         if self._thread is not None:
             raise RuntimeError("server already started")
         state = self._mode_state()
@@ -246,41 +245,40 @@ class GuardServer:
 
     def _mode_state(self):
         """Per-mode state: where buffers come from and whether a parse is
-        contained.  One buffer is taken and returned as a probe, inside the
-        parse domain in domains mode."""
-        cfg, buf_len = self.config, self.config.header_buf_len
+        contained.  In domains mode one buffer is taken and returned inside
+        the parse domain, a probe of the heap that ``APP_HEAP_SIZE`` sets."""
         manager: Optional[DomainManager] = None
-        try:
-            if cfg.mode == "domains":
-                manager = DomainManager(arena_size=ARENA_SIZE, default_heap_size=HEAP_SIZE)
-                arena = manager.arena
-                malloc = manager.dalloc  # the parse job runs inside the parse domain
+        if self.config.mode == "domains":
+            manager = DomainManager(arena_size=ARENA_SIZE, default_heap_size=HEAP_SIZE)
+            arena = manager.arena
+            malloc = manager.dalloc  # the parse job runs inside the parse domain
 
-                def free(cap: Capability) -> None:
-                    manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(cap))
+            def free(cap: Capability) -> None:
+                manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(cap))
 
-                def contain(job, *args):
-                    return manager.domain_call(PARSE_DOMAIN_UDI, functools.partial(job, *args))
+            def contain(job, *args):
+                return manager.domain_call(PARSE_DOMAIN_UDI, functools.partial(job, *args))
 
-                manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(malloc(buf_len)))
+            try:
+                manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(malloc(HEADER_BUF_LEN)))
+            except (AllocationError, HeapInitError) as exc:
+                raise ValueError(
+                    f"domains mode cannot serve a {HEADER_BUF_LEN}-byte request buffer "
+                    f"from the heap that {HEAP_SIZE_ENV} sets: {exc}"
+                ) from exc
+        else:
+            arena = MemoryArena(ARENA_SIZE)
+            if self.config.mode == "tlsf":
+                region = arena.reserve(HEAP_SIZE)
+                heap_cap = arena.root.address_set(region.base).bounds_set(region.length)
+                heap = tlsf_create_with_pool(heap_cap, HEAP_SIZE)
             else:
-                arena = MemoryArena(ARENA_SIZE)
-                if cfg.mode == "tlsf":
-                    region = arena.reserve(HEAP_SIZE, tag="worker-heap")
-                    heap_cap = arena.root.address_set(region.base).bounds_set(region.length)
-                    heap = tlsf_create_with_pool(heap_cap, HEAP_SIZE)
-                else:
-                    heap = _FixedBufPool(arena, buf_len, MAX_CONNECTIONS)
-                malloc, free = heap.malloc, heap.free
+                heap = _FixedBufPool(arena, HEADER_BUF_LEN, MAX_CONNECTIONS)
+            malloc, free = heap.malloc, heap.free
 
-                def contain(job, *args):
-                    return job(*args)  # unguarded: a fault in the parse kills the worker
+            def contain(job, *args):
+                return job(*args)  # unguarded: a fault in the parse kills the worker
 
-                free(malloc(buf_len))
-        except (ArenaExhausted, AllocationError, HeapInitError) as exc:
-            raise ValueError(
-                f"{cfg.mode} mode cannot serve a {buf_len}-byte request buffer (--buf-len): {exc}"
-            ) from exc
         return arena, manager, malloc, free, contain
 
     def _worker(self, arena, manager, malloc, free, contain) -> None:
@@ -363,7 +361,7 @@ class GuardServer:
             rbuf, out, buf = conn.rbuf, conn.out, conn.buf
             try:
                 if buf is None:
-                    buf = conn.buf = malloc(cfg.header_buf_len)
+                    buf = conn.buf = malloc(HEADER_BUF_LEN)
                 while True:
                     try:
                         parse_request_line(rbuf[start : nl + 1], buf)

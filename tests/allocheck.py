@@ -75,7 +75,7 @@ def free_bytes_by_walk(arena, ctrl):
 
 def fresh_control(arena_size=256 * KIB, pool_size=64 * KIB, **kw):
     arena = MemoryArena(arena_size)
-    region = arena.reserve(pool_size, "pool0")
+    region = arena.reserve(pool_size)
     cap = arena.root.address_set(region.base).bounds_set(region.length)
     ctrl = tlsf_create_with_pool(cap, pool_size, **kw)
     return arena, ctrl

@@ -287,13 +287,13 @@ def test_exhaustive_inbounds_access_never_faults():
 
 def test_reserve_release_accounting():
     arena = MemoryArena(4096)
-    a = arena.reserve(1000, "a")
-    b = arena.reserve(500, "b")
+    a = arena.reserve(1000)
+    b = arena.reserve(500)
     assert a.base % 16 == 0 and b.base % 16 == 0
     assert arena.reserved_bytes == 1500
     arena.release(a)
     assert arena.reserved_bytes == 500
-    c = arena.reserve(900, "c")  # fits in the gap released by a
+    c = arena.reserve(900)  # fits in the gap released by a
     assert c.base == a.base
     arena.release(b)
     arena.release(c)
@@ -334,14 +334,14 @@ def test_release_unknown_region_rejected():
 
 
 def test_release_refuses_another_arenas_region():
-    # rids restart at 1 in every arena, so a ledger matched by rid would free
-    # this arena's live region when handed another arena's
+    # a fresh arena hands out the same first region as any other, so a ledger
+    # matched by value would free this arena's live region when handed another's
     mine = MemoryArena(4096)
     live = mine.reserve(16)
     mine.root.store(live.base, b"\x5a" * 16)
     bigger = MemoryArena(4096).reserve(64)
     twin = MemoryArena(4096).reserve(16)
-    assert twin == live  # same base, length, rid and tag, but not reserved here
+    assert twin == live  # same base and length, but not reserved here
     for foreign in (bigger, twin):
         with pytest.raises(ValueError):
             mine.release(foreign)

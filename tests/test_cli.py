@@ -23,7 +23,6 @@ def test_parser_defaults():
     args = build_parser().parse_args(["serve"])
     assert args.mode == "domains"
     assert args.payload == "0k"
-    assert args.buf_len == 64
     args = build_parser().parse_args(["bench", "--port", "9"])
     assert args.connections == 8
     assert args.duration == 10.0
@@ -94,14 +93,16 @@ def test_serve_exits_nonzero_when_the_worker_dies(capsys, monkeypatch):
     assert "RuntimeError: parser crashed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
-def test_serve_refuses_a_buffer_that_can_never_be_served(mode, capsys):
-    # 512 KiB buffers fit neither the baseline slab nor a 256 KiB heap
-    rc = main(["serve", "--port", "0", "--mode", mode, "--buf-len", "524288"])
+@pytest.mark.parametrize("heap_size", ["abc", "13328"])
+def test_serve_refuses_a_buffer_that_can_never_be_served(heap_size, capsys, monkeypatch):
+    # 13,328 bytes lay out a heap whose only free block is 16 bytes, too
+    # small for the 64-byte request buffer
+    monkeypatch.setenv("APP_HEAP_SIZE", heap_size)
+    rc = main(["serve", "--port", "0", "--mode", "domains"])
     out, err = capsys.readouterr()
     assert rc == 1
     assert "listening on" not in out
-    assert err.startswith("error: ") and "--buf-len" in err
+    assert err.startswith("error: ") and "APP_HEAP_SIZE" in err
 
 
 def test_bench_and_attack_commands(tmp_path, capsys):
@@ -143,6 +144,18 @@ def test_compare_command(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("baseline,0k,")
     assert lines[2].startswith("domains,0k,")
+
+
+def test_compare_refuses_an_unknown_payload_before_any_server_starts(capsys, monkeypatch):
+    def never(self):
+        raise AssertionError("a server started")
+
+    monkeypatch.setattr(GuardServer, "start", never)
+    rc = main(["compare", "--modes", "baseline", "--payloads", "0k,2k"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "2k" in err
+    assert all(p in err for p in server_mod.PAYLOAD_BYTES)
 
 
 def test_demo_command(capsys):

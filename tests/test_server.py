@@ -13,6 +13,7 @@ from capdomains import server as server_mod
 from capdomains.capmem import BoundsViolation, Capability, FaultKind, FaultRecord
 from capdomains.domains import DomainManager
 from capdomains.server import (
+    HEADER_BUF_LEN,
     GuardServer,
     ParseError,
     RequestLine,
@@ -143,13 +144,18 @@ def test_parse_malformed_lines(junk):
 
 # ---------------------------------------------------------------- wire basics
 
+# the longest line the request buffer holds, terminator included
+FULL_LINE = b"GET /" + b"f" * (HEADER_BUF_LEN - 6) + b"\n"
+
+
 @pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
 def test_roundtrip_and_keepalive(mode):
     srv = start_server(mode, payload_size=128)
     try:
         sock = connect(srv.port)
-        for _ in range(3):
-            kind, want, body = roundtrip(sock, b"GET /hello\n")
+        assert len(FULL_LINE) == HEADER_BUF_LEN
+        for line in (b"GET /hello\n", FULL_LINE, b"GET /hello\n"):
+            kind, want, body = roundtrip(sock, line)
             assert kind == b"OK"
             assert want == 128 and len(body) == 128
         sock.close()
@@ -206,53 +212,58 @@ def test_parse_error_keeps_connection():
 # ---------------------------------------------------------------- resilience
 
 ATTACK = b"A" * 200 + b"\n"
+# one byte over the request buffer, the smallest line that trips the fault
+JUST_OVER = b"GET /" + b"o" * (HEADER_BUF_LEN - 5) + b"\n"
 
 
 def test_domains_mode_survives_oversized_request():
-    srv = start_server("domains")
-    try:
-        served = 0
-        sock = connect(srv.port)
-        for i in range(5):
-            if i == 2:
-                sock.sendall(ATTACK)
-                assert read_response(sock) is None, "attacked connection must drop"
-                sock.close()
-                sock = connect(srv.port)
-            else:
-                assert roundtrip(sock, b"GET /n\n")[0] == b"OK"
-                served += 1
-        sock.close()
-        assert served == 4
-        assert srv.alive
-        time.sleep(0.05)
-        stats = srv.stats_snapshot()
-        assert stats.served == 4
-        assert stats.rejected_malicious == 1
-    finally:
-        srv.stop()
-        srv.join()
+    assert len(JUST_OVER) == HEADER_BUF_LEN + 1
+    for attack in (ATTACK, JUST_OVER):
+        srv = start_server("domains")
+        try:
+            served = 0
+            sock = connect(srv.port)
+            for i in range(5):
+                if i == 2:
+                    sock.sendall(attack)
+                    assert read_response(sock) is None, "attacked connection must drop"
+                    sock.close()
+                    sock = connect(srv.port)
+                else:
+                    assert roundtrip(sock, b"GET /n\n")[0] == b"OK"
+                    served += 1
+            sock.close()
+            assert served == 4
+            assert srv.alive
+            time.sleep(0.05)
+            stats = srv.stats_snapshot()
+            assert stats.served == 4
+            assert stats.rejected_malicious == 1
+        finally:
+            srv.stop()
+            srv.join()
 
 
 @pytest.mark.parametrize("mode", ["baseline", "tlsf"])
 def test_unguarded_modes_die_on_oversized_request(mode):
-    srv = start_server(mode)
-    try:
-        sock = connect(srv.port)
-        assert roundtrip(sock, b"GET /1\n")[0] == b"OK"
-        assert roundtrip(sock, b"GET /2\n")[0] == b"OK"
-        sock.sendall(ATTACK)
-        assert read_response(sock) is None
-        sock.close()
-        srv.join(timeout=5)
-        assert not srv.alive
-        assert srv.fatal is not None
-        assert srv.fatal.record.kind.value == "bounds-violation"
-        with pytest.raises(OSError):
-            connect(srv.port)
-    finally:
-        srv.stop()
-        srv.join()
+    for attack in (ATTACK, JUST_OVER):
+        srv = start_server(mode)
+        try:
+            sock = connect(srv.port)
+            assert roundtrip(sock, b"GET /1\n")[0] == b"OK"
+            assert roundtrip(sock, b"GET /2\n")[0] == b"OK"
+            sock.sendall(attack)
+            assert read_response(sock) is None
+            sock.close()
+            srv.join(timeout=5)
+            assert not srv.alive
+            assert srv.fatal is not None
+            assert srv.fatal.record.kind.value == "bounds-violation"
+            with pytest.raises(OSError):
+                connect(srv.port)
+        finally:
+            srv.stop()
+            srv.join()
 
 
 def test_other_connections_unaffected_by_attack():
@@ -656,18 +667,27 @@ def test_stop_leaves_no_socket_open(mode):
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
-@pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
-def test_start_refuses_a_buffer_that_can_never_be_served(mode):
-    # 64 connection slots of 512 KiB overflow the baseline arena; the
-    # allocating modes cannot fit one such buffer in their 256 KiB heap
+@pytest.mark.parametrize("heap_size", ["abc", "13328"])
+def test_start_refuses_a_buffer_that_can_never_be_served(heap_size, monkeypatch):
+    # 13,328 bytes lay out a heap whose only free block is 16 bytes, too
+    # small for the request buffer; only domains mode takes its buffers
+    # from the heap this sets
+    monkeypatch.setenv("APP_HEAP_SIZE", heap_size)
     port = free_port()
-    srv = GuardServer(ServerConfig(listen_port=port, mode=mode, payload_size=128,
-                                   header_buf_len=512 * 1024))
-    with pytest.raises(ValueError, match=f"{mode} mode .*--buf-len"):
+    srv = GuardServer(ServerConfig(listen_port=port, mode="domains", payload_size=128))
+    with pytest.raises(ValueError, match="domains mode .*APP_HEAP_SIZE"):
         srv.start()
     assert srv.port is None and not srv.alive
     with pytest.raises(OSError):
         connect(port)
+    for mode in ("baseline", "tlsf"):
+        srv = start_server(mode)
+        try:
+            with connect(srv.port) as sock:
+                assert roundtrip(sock, b"GET /x\n")[0] == b"OK"
+        finally:
+            srv.stop()
+            srv.join()
 
 
 @pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])

@@ -98,7 +98,7 @@ def test_malloc_full_remaining_then_oom():
 def test_add_pool_grows_capacity():
     arena, ctrl = fresh_control(arena_size=4 * MIB, debug=True)
     before = free_bytes_by_walk(arena, ctrl)
-    region = arena.reserve(1 * MIB, "pool1")
+    region = arena.reserve(1 * MIB)
     cap = arena.root.address_set(region.base).bounds_set(region.length)
     ctrl.add_pool(cap, 1 * MIB)
     assert free_bytes_by_walk(arena, ctrl) == before + 1 * MIB - POOL_OVERHEAD
@@ -116,7 +116,7 @@ def test_add_pool_rejects_overlap():
 
 def test_second_pool_serves_after_first_exhausted():
     arena, ctrl = fresh_control(arena_size=1 * MIB, debug=True)
-    region = arena.reserve(64 * KIB, "pool1")
+    region = arena.reserve(64 * KIB)
     cap2 = arena.root.address_set(region.base).bounds_set(region.length)
     ctrl.add_pool(cap2, 64 * KIB)
     first = ctrl.malloc(FRESH_64K)  # exactly drains pool 0
