@@ -289,12 +289,12 @@ def run_matrix(
     repetitions: int = 3,
     seed: Optional[int] = None,
     out_path: Optional[str] = None,
-    malicious_ratio: float = 0.0,
 ) -> List[BenchResult]:
     """Measure every mode x payload cell against in-process servers."""
-    unknown = [p for p in payloads if p not in PAYLOAD_BYTES]
-    if unknown:
-        raise ValueError(f"unknown payloads {unknown}: choose from {', '.join(PAYLOAD_BYTES)}")
+    for name, given, valid in (("modes", modes, MODES), ("payloads", payloads, PAYLOAD_BYTES)):
+        unknown = [x for x in given if x not in valid]
+        if unknown:
+            raise ValueError(f"unknown {name} {unknown}: choose from {', '.join(valid)}")
     results = []
     for mode in modes:
         for payload in payloads:
@@ -310,7 +310,6 @@ def run_matrix(
                     connections=connections,
                     duration=duration,
                     payload=payload,
-                    malicious_ratio=malicious_ratio,
                     repetitions=repetitions,
                     out_path=out_path,
                     seed=seed,

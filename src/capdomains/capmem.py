@@ -12,8 +12,9 @@ that reads and writes several fields of one record (an allocator header, a
 request line) pays for one check, not one per field.
 
 The arena is an anonymous private mapping, so a page is committed only when
-something first writes to it, and releasing a region hands its whole pages
-back to the kernel, as discarding a domain does in SDRaD.
+something first writes to it.  ``MemoryArena.reserve`` hands out each region
+as its own root capability, and releasing it hands its whole pages back to
+the kernel, as discarding a domain does in SDRaD.
 """
 
 import enum
@@ -80,12 +81,6 @@ class Permissions:
 
 
 PERM_RW = Permissions(load=True, store=True)
-
-
-@dataclass(frozen=True)
-class ReservedRegion:
-    base: int
-    length: int
 
 
 def round_representable_length(size):
@@ -237,8 +232,9 @@ class MemoryArena:
     becomes resident only when something first writes to it, so an arena
     larger than what its heaps use costs address space, not memory.
 
-    Also keeps a non-overlapping reserved-region ledger (the mmap stand-in)
-    so heap discards can be audited: reserved_bytes must return to its prior
+    Also keeps a non-overlapping ledger of reserved regions (the mmap
+    stand-in), each held as the region root that ``reserve`` minted, so
+    heap discards can be audited: reserved_bytes must return to its prior
     value when a domain is destroyed.  A released region reads as zeros
     again, as the pages of a fresh mmap do, so nothing written into a
     discarded heap can be read out of the next one; its whole pages go back
@@ -260,41 +256,41 @@ class MemoryArena:
 
     @property
     def reserved_bytes(self):
-        return sum(r.length for r in self._regions)
+        return sum(r.top - r.base for r in self._regions)
 
     def reserve(self, length):
-        """First-fit reservation at a 16-aligned base.  Regions never overlap."""
+        """First-fit reservation at a 16-aligned base.  Regions never overlap.
+        Returns the region root: a read-write capability spanning just it."""
         if length <= 0:
             raise ValueError("region length must be positive")
         candidate = 0
         for r in self._regions:
             if candidate + length <= r.base:
                 break
-            candidate = (r.base + r.length + 15) & ~15
+            candidate = (r.top + 15) & ~15
         if candidate + length > self.size:
             raise ArenaExhausted(
                 "no %d-byte gap in %d-byte arena (%d reserved)"
                 % (length, self.size, self.reserved_bytes)
             )
-        region = ReservedRegion(candidate, length)
+        region = Capability(self, candidate, candidate, candidate + length, PERM_RW, True)
         insort(self._regions, region, key=_BASE)
         return region
 
     def release(self, region):
-        """Hand back a region that ``reserve`` of this arena returned.
+        """Hand back the region root that ``reserve`` of this arena returned.
 
         Afterwards the region reads as zeros.  Its whole pages are dropped
         with ``MADV_DONTNEED``; zeros are copied over the partial pages at
         either end, which a neighbouring region may share.
         """
         i = bisect_left(self._regions, region.base, key=_BASE)
-        # another arena can hand out an equal region, so only the object
-        # itself proves the region came from this ledger
+        # a capability derived from the root, or a copy of it, is not the
+        # reservation, so only the object itself proves it is in this ledger
         if i == len(self._regions) or self._regions[i] is not region:
             raise ValueError("region at %d not reserved" % region.base)
         del self._regions[i]
-        lo = region.base
-        end = lo + region.length
+        lo, end = region.base, region.top
         if _DONTNEED_ZEROES:
             first = -(-lo // _PAGE) * _PAGE
             last = end // _PAGE * _PAGE

@@ -210,16 +210,10 @@ class DomainManager:
         for child in range(1, MAX_DOMAIN_ID + 1):
             if child != udi and self._slots[child].domain_init and self._slots[child].parent_udi == udi:
                 self.destroy(child)
-        self._release_heap(slot)
-        slot.reset()
-
-    def _release_heap(self, slot: _Slot) -> None:
         if slot.heap is not None:
             slot.heap.destroy()
             self.arena.release(slot.heap_region)
-            slot.heap = None
-            slot.heap_region = None
-            slot.heap_generation = 0
+        slot.reset()
 
     # ---------------------------------------------------------- fault routing
 
@@ -309,20 +303,19 @@ class DomainManager:
             raise HeapInitError(
                 f"arena cannot hold a {size}-byte heap for domain {self.active_domain}"
             ) from exc
-        heap_cap = self.arena.root.address_set(region.base).bounds_set(region.length)
         first = min(size, self.max_pool_size)
         try:
             heap = tlsf_create_with_pool(
-                heap_cap, first, max_pool_size=self.max_pool_size, debug=self.debug
+                region, first, max_pool_size=self.max_pool_size, debug=self.debug
             )
             remaining = size - first
             addr = region.base + first
             while remaining > self.max_pool_size:
-                heap.add_pool(heap_cap.address_set(addr), self.max_pool_size)
+                heap.add_pool(region.address_set(addr), self.max_pool_size)
                 remaining -= self.max_pool_size
                 addr += self.max_pool_size
             if remaining:
-                heap.add_pool(heap_cap.address_set(addr), remaining)
+                heap.add_pool(region.address_set(addr), remaining)
         except ValueError as exc:  # a pool below the allocator's minimum
             self.arena.release(region)
             raise HeapInitError(

@@ -145,7 +145,6 @@ class _FixedBufPool:
     def __init__(self, arena: MemoryArena, each: int, count: int):
         self.each = round_representable_length(each)
         self.region = arena.reserve(self.each * count)
-        self._root = arena.root
         self._free = list(range(count - 1, -1, -1))
 
     def malloc(self, _size: int) -> Capability:
@@ -153,7 +152,7 @@ class _FixedBufPool:
             raise RuntimeError("connection buffer slots exhausted")
         slot = self._free.pop()
         addr = self.region.base + slot * self.each
-        return self._root.address_set(addr).bounds_set(self.each)
+        return self.region.address_set(addr).bounds_set(self.each)
 
     def free(self, cap: Capability) -> None:
         self._free.append((cap.base - self.region.base) // self.each)
@@ -269,9 +268,7 @@ class GuardServer:
         else:
             arena = MemoryArena(ARENA_SIZE)
             if self.config.mode == "tlsf":
-                region = arena.reserve(HEAP_SIZE)
-                heap_cap = arena.root.address_set(region.base).bounds_set(region.length)
-                heap = tlsf_create_with_pool(heap_cap, HEAP_SIZE)
+                heap = tlsf_create_with_pool(arena.reserve(HEAP_SIZE), HEAP_SIZE)
             else:
                 heap = _FixedBufPool(arena, HEADER_BUF_LEN, MAX_CONNECTIONS)
             malloc, free = heap.malloc, heap.free

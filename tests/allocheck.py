@@ -75,9 +75,7 @@ def free_bytes_by_walk(arena, ctrl):
 
 def fresh_control(arena_size=256 * KIB, pool_size=64 * KIB, **kw):
     arena = MemoryArena(arena_size)
-    region = arena.reserve(pool_size)
-    cap = arena.root.address_set(region.base).bounds_set(region.length)
-    ctrl = tlsf_create_with_pool(cap, pool_size, **kw)
+    ctrl = tlsf_create_with_pool(arena.reserve(pool_size), pool_size, **kw)
     return arena, ctrl
 
 
@@ -109,12 +107,9 @@ def run_differential(seed, ops, arena_size=8 * MIB, pool_size=1 * MIB, pools=1):
     the first are reserved and handed to ``add_pool`` one by one."""
     rng = random.Random(seed)
     arena = MemoryArena(arena_size)
-    region = arena.reserve(pool_size)
-    root = arena.root.address_set(region.base).bounds_set(region.length)
-    ctrl = tlsf_create_with_pool(root, pool_size, debug=True)
+    ctrl = tlsf_create_with_pool(arena.reserve(pool_size), pool_size, debug=True)
     for _ in range(pools - 1):
-        region = arena.reserve(pool_size)
-        ctrl.add_pool(arena.root.address_set(region.base).bounds_set(region.length), pool_size)
+        ctrl.add_pool(arena.reserve(pool_size), pool_size)
     oracle = ExtentOracle([(p.region.base, p.region.base + p.size) for p in ctrl.pools])
     live = []  # (cap, fill byte)
     counter = 0

@@ -7,8 +7,10 @@ import pytest
 
 from capdomains import capmem
 from capdomains.capmem import (
+    PERM_RW,
     ArenaExhausted,
     BoundsViolation,
+    Capability,
     FaultKind,
     FaultRecord,
     MemoryArena,
@@ -300,6 +302,27 @@ def test_reserve_release_accounting():
     assert arena.reserved_bytes == 0
 
 
+def test_reserve_returns_the_region_root():
+    arena = MemoryArena(4096)
+    arena.reserve(100)
+    region = arena.reserve(200)
+    assert isinstance(region, Capability)
+    assert (region.address, region.base, region.top) == (112, 112, 312)
+    assert region.tag and region.perms == PERM_RW
+    region.store(0, b"\x5a" * 200)
+    with pytest.raises(BoundsViolation):
+        region.store(200, b"\x00")
+    with pytest.raises(BoundsViolation):
+        region.store(-1, b"\x00")
+    copy = region.address_set(region.base)
+    assert copy == region
+    with pytest.raises(ValueError):
+        arena.release(copy)
+    assert arena.reserved_bytes == 300
+    arena.release(region)
+    assert arena.reserved_bytes == 100
+
+
 def test_reserve_never_overlaps():
     rng = random.Random(3)
     arena = MemoryArena(1 << 16)
@@ -313,8 +336,8 @@ def test_reserve_never_overlaps():
         except ArenaExhausted:
             continue
         for other in live:
-            assert region.base + region.length <= other.base or other.base + other.length <= region.base
-        assert region.base + region.length <= arena.size
+            assert region.top <= other.base or other.top <= region.base
+        assert region.top <= arena.size
         live.append(region)
 
 
@@ -341,7 +364,7 @@ def test_release_refuses_another_arenas_region():
     mine.root.store(live.base, b"\x5a" * 16)
     bigger = MemoryArena(4096).reserve(64)
     twin = MemoryArena(4096).reserve(16)
-    assert twin == live  # same base and length, but not reserved here
+    assert (twin.base, twin.top) == (live.base, live.top)  # not reserved here
     for foreign in (bigger, twin):
         with pytest.raises(ValueError):
             mine.release(foreign)
@@ -373,9 +396,9 @@ def test_release_zeroes_the_region():
     arena.root.store(0, b"\xa5" * arena.size)
     arena.release(region)
     snap = arena.snapshot()
-    assert snap[region.base : region.base + region.length] == bytes(region.length)
+    assert snap[region.base : region.top] == bytes(region.top - region.base)
     assert snap[: region.base] == b"\xa5" * region.base
-    assert set(snap[region.base + region.length :]) == {0xA5}
+    assert set(snap[region.top :]) == {0xA5}
 
 
 PAGE = capmem._PAGE
@@ -406,8 +429,8 @@ def test_release_zeroes_partial_pages_and_spares_neighbours(monkeypatch, base, l
     snap = arena.snapshot()
     assert snap[base : base + length] == bytes(length)
     assert snap[:base] == b"\xa5" * base
-    assert snap[base + length :] == b"\xa5" * right.length
-    assert arena.reserved_bytes == left.length + right.length
+    assert snap[base + length :] == b"\xa5" * (right.top - right.base)
+    assert arena.reserved_bytes == (left.top - left.base) + (right.top - right.base)
 
 
 def _rss_bytes():
@@ -426,12 +449,12 @@ def test_arena_pages_are_committed_on_first_touch_and_given_back_on_release():
     assert _rss_bytes() - before < 1 * mib
     region = arena.reserve(32 * mib)
     chunk = b"\x5a" * mib
-    for off in range(0, region.length, mib):
+    for off in range(0, region.top - region.base, mib):
         arena.root.store(region.base + off, chunk)
     written = _rss_bytes()
     arena.release(region)
     assert written - _rss_bytes() >= 24 * mib
-    assert arena.root.load(region.base + region.length - 16, 16) == bytes(16)
+    assert arena.root.load(region.top - 16, 16) == bytes(16)
 
 
 def test_capability_equality_and_repr():

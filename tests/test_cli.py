@@ -158,6 +158,18 @@ def test_compare_refuses_an_unknown_payload_before_any_server_starts(capsys, mon
     assert all(p in err for p in server_mod.PAYLOAD_BYTES)
 
 
+def test_compare_refuses_an_unknown_mode_before_any_server_starts(capsys, monkeypatch):
+    def never(self):
+        raise AssertionError("a server started")
+
+    monkeypatch.setattr(GuardServer, "start", never)
+    rc = main(["compare", "--modes", "baseline,bogus", "--payloads", "0k"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "bogus" in err
+    assert all(m in err for m in server_mod.MODES)
+
+
 def test_demo_command(capsys):
     assert main(["demo"]) == 0
     out = capsys.readouterr().out

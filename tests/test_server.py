@@ -10,8 +10,8 @@ import warnings
 import pytest
 
 from capdomains import server as server_mod
-from capdomains.capmem import BoundsViolation, Capability, FaultKind, FaultRecord
-from capdomains.domains import DomainManager
+from capdomains.capmem import BoundsViolation, Capability, FaultKind, FaultRecord, MemoryArena
+from capdomains.domains import DomainManager, Normal
 from capdomains.server import (
     HEADER_BUF_LEN,
     GuardServer,
@@ -665,6 +665,25 @@ def test_stop_leaves_no_socket_open(mode):
         del srv
         gc.collect()
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+@pytest.mark.parametrize("mode", server_mod.MODES)
+def test_buffers_derive_from_their_region_root_not_the_arena_root(mode, monkeypatch):
+    # with the arena-wide root untagged, a buffer minted from it would fault
+    monkeypatch.delenv("APP_HEAP_SIZE", raising=False)
+    if mode == "domains":
+        mgr = DomainManager(arena_size=server_mod.ARENA_SIZE, default_heap_size=server_mod.HEAP_SIZE)
+        mgr.arena.root = mgr.arena.root.untagged()
+        outcome = mgr.domain_call(1, lambda: mgr.dalloc(64).store(0, b"\x5a" * 64))
+        assert isinstance(outcome, Normal), outcome
+        return
+    arena = MemoryArena(server_mod.ARENA_SIZE)
+    arena.root = arena.root.untagged()
+    if mode == "tlsf":
+        heap = server_mod.tlsf_create_with_pool(arena.reserve(server_mod.HEAP_SIZE), server_mod.HEAP_SIZE)
+    else:
+        heap = server_mod._FixedBufPool(arena, HEADER_BUF_LEN, server_mod.MAX_CONNECTIONS)
+    heap.malloc(64).store(0, b"\x5a" * 64)
 
 
 @pytest.mark.parametrize("heap_size", ["abc", "13328"])

@@ -77,8 +77,7 @@ def test_create_single_free_block_64k():
 
 def test_create_rejects_bad_sizes():
     arena = MemoryArena(64 * MIB)
-    region = arena.reserve(32 * MIB)
-    cap = arena.root.address_set(region.base).bounds_set(region.length)
+    cap = arena.reserve(32 * MIB)
     with pytest.raises(ValueError):
         tlsf_create_with_pool(cap, CONTROL_SIZE + POOL_OVERHEAD)  # below minimum
     with pytest.raises(ValueError):
@@ -98,9 +97,7 @@ def test_malloc_full_remaining_then_oom():
 def test_add_pool_grows_capacity():
     arena, ctrl = fresh_control(arena_size=4 * MIB, debug=True)
     before = free_bytes_by_walk(arena, ctrl)
-    region = arena.reserve(1 * MIB)
-    cap = arena.root.address_set(region.base).bounds_set(region.length)
-    ctrl.add_pool(cap, 1 * MIB)
+    ctrl.add_pool(arena.reserve(1 * MIB), 1 * MIB)
     assert free_bytes_by_walk(arena, ctrl) == before + 1 * MIB - POOL_OVERHEAD
     assert ctrl.stats.bytes_reserved == 64 * KIB + 1 * MIB
     assert len(ctrl.pools) == 2
@@ -117,11 +114,10 @@ def test_add_pool_rejects_overlap():
 def test_second_pool_serves_after_first_exhausted():
     arena, ctrl = fresh_control(arena_size=1 * MIB, debug=True)
     region = arena.reserve(64 * KIB)
-    cap2 = arena.root.address_set(region.base).bounds_set(region.length)
-    ctrl.add_pool(cap2, 64 * KIB)
+    ctrl.add_pool(region, 64 * KIB)
     first = ctrl.malloc(FRESH_64K)  # exactly drains pool 0
     second = ctrl.malloc(16)
-    assert region.base <= second.base < region.base + region.length
+    assert region.base <= second.base < region.top
     ctrl.free(first)
     ctrl.free(second)
 
@@ -413,8 +409,7 @@ def test_free_conservation_and_double_free():
 
 def test_destroy_returns_all_pools():
     arena, ctrl = fresh_control(arena_size=4 * MIB)
-    region = arena.reserve(128 * KIB)
-    ctrl.add_pool(arena.root.address_set(region.base).bounds_set(region.length), 128 * KIB)
+    ctrl.add_pool(arena.reserve(128 * KIB), 128 * KIB)
     ctrl.malloc(100)  # live allocation does not block discard
     reserved = ctrl.stats.bytes_reserved
     pools = ctrl.destroy()
