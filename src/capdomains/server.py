@@ -5,21 +5,21 @@ checking the length, which is the classic stack-smash shape.  Because the
 buffer is a bounded capability, the overflow faults at the memory layer
 instead of corrupting neighbours.  What happens next depends on the mode:
 
-* ``baseline``  - buffers come from a flat per-connection pool; a fault
-                  terminates the worker (the unprotected contrast case).
-* ``tlsf``      - buffers come from a real allocator heap; same fatal
+* ``baseline``  - the buffer is a bare arena region; a fault terminates
+                  the worker (the unprotected contrast case).
+* ``tlsf``      - the buffer comes from a real allocator heap; same fatal
                   behavior on fault, isolates the allocator's own cost.
-* ``domains``   - buffers come from the heap of a nested isolation domain
-                  and the parse runs inside it, one entry per read's run
-                  of request lines; a fault discards that domain, drops
+* ``domains``   - the buffer comes from the heap of a nested isolation
+                  domain and the parse runs inside it, one entry per read's
+                  run of request lines; a fault discards that domain, drops
                   the offending connection, and the others keep being served.
 
-The modes differ only in where a connection's buffer comes from and
-whether the parse is contained; the worker picks both once and then runs
-one path.  Each connection takes its buffer on its first request and
-returns it on close.  In domains mode an abort discards the parse heap and
-with it every connection's buffer, so the worker forgets them all and each
-surviving connection takes a fresh one from the new heap.
+The modes differ only in where the buffer comes from and whether the parse
+is contained; the worker picks both once and then runs one path.  The
+worker is single-threaded and a line stays in the buffer only while it is
+parsed, so one buffer serves every connection.  In domains mode an abort
+discards the parse heap and that buffer with it; the worker forgets it and
+the next parse takes a fresh one from the new heap.
 
 Wire protocol, one line per request, keep-alive:
 
@@ -53,7 +53,7 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Dict, NamedTuple, Optional
 
-from .capmem import Capability, MemoryArena, ProtectionFault, round_representable_length
+from .capmem import Capability, MemoryArena, ProtectionFault
 from .domains import HEAP_SIZE_ENV, Aborted, DomainManager, HeapInitError, MainDomainFault
 from .tlsf import AllocationError, tlsf_create_with_pool
 
@@ -71,7 +71,7 @@ MAX_LINE = 64 * 1024  # reads beyond this without a newline are protocol abuse
 OUT_HIGH_WATER = 256 * 1024
 HEAP_SIZE = 256 * 1024  # the tlsf worker heap and the domains parse heap
 ARENA_SIZE = 4 * 1024 * 1024
-MAX_CONNECTIONS = 64  # listen backlog, open-connection cap, baseline buffer slots
+MAX_CONNECTIONS = 64  # listen backlog and open-connection cap
 _CONTROL = (b"STATS\n", b"SHUTDOWN\n")  # answered by the worker, never parsed
 
 
@@ -135,38 +135,14 @@ def parse_request_line(data: bytes, buf: Capability) -> RequestLine:
     return _new_tuple(RequestLine, (method, path, len(line)))
 
 
-class _FixedBufPool:
-    """Baseline-mode buffer source: a flat slab with a LIFO slot free list.
-
-    It answers to ``malloc``/``free`` like a TLSF heap; every slot holds
-    ``each`` bytes, the rounded size of the one buffer a connection takes.
-    """
-
-    def __init__(self, arena: MemoryArena, each: int, count: int):
-        self.each = round_representable_length(each)
-        self.region = arena.reserve(self.each * count)
-        self._free = list(range(count - 1, -1, -1))
-
-    def malloc(self, _size: int) -> Capability:
-        if not self._free:
-            raise RuntimeError("connection buffer slots exhausted")
-        slot = self._free.pop()
-        addr = self.region.base + slot * self.each
-        return self.region.address_set(addr).bounds_set(self.each)
-
-    def free(self, cap: Capability) -> None:
-        self._free.append((cap.base - self.region.base) // self.each)
-
-
 class _Conn:
-    __slots__ = ("sock", "rbuf", "out", "writing", "buf")
+    __slots__ = ("sock", "rbuf", "out", "writing")
 
     def __init__(self, sock):
         self.sock = sock
         self.rbuf = bytearray()
         self.out = bytearray()  # queued reply bytes the socket has not taken yet
         self.writing = False  # registered for EVENT_WRITE, not READ, while a tail waits
-        self.buf: Optional[Capability] = None
 
 
 def _payload_body(size: int) -> bytes:
@@ -243,23 +219,19 @@ class GuardServer:
     # ------------------------------------------------------------ worker
 
     def _mode_state(self):
-        """Per-mode state: where buffers come from and whether a parse is
-        contained.  In domains mode one buffer is taken and returned inside
-        the parse domain, a probe of the heap that ``APP_HEAP_SIZE`` sets."""
+        """Per-mode state: the worker's one request buffer and whether a
+        parse is contained.  In domains mode the buffer is taken inside the
+        parse domain, from the heap that ``APP_HEAP_SIZE`` sets."""
         manager: Optional[DomainManager] = None
         if self.config.mode == "domains":
             manager = DomainManager(arena_size=ARENA_SIZE, default_heap_size=HEAP_SIZE)
             arena = manager.arena
-            malloc = manager.dalloc  # the parse job runs inside the parse domain
-
-            def free(cap: Capability) -> None:
-                manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(cap))
 
             def contain(job, *args):
                 return manager.domain_call(PARSE_DOMAIN_UDI, functools.partial(job, *args))
 
             try:
-                manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dfree(malloc(HEADER_BUF_LEN)))
+                buf = manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dalloc(HEADER_BUF_LEN)).value
             except (AllocationError, HeapInitError) as exc:
                 raise ValueError(
                     f"domains mode cannot serve a {HEADER_BUF_LEN}-byte request buffer "
@@ -268,17 +240,16 @@ class GuardServer:
         else:
             arena = MemoryArena(ARENA_SIZE)
             if self.config.mode == "tlsf":
-                heap = tlsf_create_with_pool(arena.reserve(HEAP_SIZE), HEAP_SIZE)
+                buf = tlsf_create_with_pool(arena.reserve(HEAP_SIZE), HEAP_SIZE).malloc(HEADER_BUF_LEN)
             else:
-                heap = _FixedBufPool(arena, HEADER_BUF_LEN, MAX_CONNECTIONS)
-            malloc, free = heap.malloc, heap.free
+                buf = arena.reserve(HEADER_BUF_LEN)
 
             def contain(job, *args):
                 return job(*args)  # unguarded: a fault in the parse kills the worker
 
-        return arena, manager, malloc, free, contain
+        return arena, manager, buf, contain
 
-    def _worker(self, arena, manager, malloc, free, contain) -> None:
+    def _worker(self, arena, manager, buf, contain) -> None:
         cfg = self.config
         sel = selectors.DefaultSelector()
         conns: Dict[socket.socket, _Conn] = {}
@@ -326,9 +297,6 @@ class GuardServer:
                 conn.sock.close()
             except OSError:
                 pass
-            if conn.buf is not None:
-                free(conn.buf)
-                conn.buf = None
 
         def stats_body() -> bytes:
             snap = self.stats_snapshot()
@@ -354,11 +322,11 @@ class GuardServer:
         def parse_lines(conn: _Conn, start: int, nl: int) -> None:
             """One parse pass from the request line ``rbuf[start : nl + 1]`` up to
             a control line, ``OUT_HIGH_WATER`` queued bytes or no complete line."""
-            nonlocal done
-            rbuf, out, buf = conn.rbuf, conn.out, conn.buf
+            nonlocal done, buf
+            rbuf, out = conn.rbuf, conn.out
             try:
-                if buf is None:
-                    buf = conn.buf = malloc(HEADER_BUF_LEN)
+                if buf is None:  # domains mode, after an abort discarded the last one
+                    buf = manager.dalloc(HEADER_BUF_LEN)
                 while True:
                     try:
                         parse_request_line(rbuf[start : nl + 1], buf)
@@ -376,7 +344,7 @@ class GuardServer:
             """Answer the complete lines in ``rbuf`` in order, each run of request
             lines in one parse pass, then flush.  Lines stop being taken at
             ``OUT_HIGH_WATER`` queued bytes and resume once a flush sent all."""
-            nonlocal shutting_down
+            nonlocal shutting_down, buf
             rbuf = conn.rbuf
             while True:
                 start = 0
@@ -393,9 +361,7 @@ class GuardServer:
                         if isinstance(outcome, Aborted):
                             log.info("connection dropped after contained fault: %s", outcome.fault)
                             bump(rejected=1)
-                            # the discarded parse heap took every connection's buffer with it
-                            for other in conns.values():
-                                other.buf = None
+                            buf = None  # the discarded parse heap took the buffer with it
                             close_conn(conn)
                             return
                     elif rbuf.startswith(b"STATS\n", start):
@@ -460,8 +426,8 @@ class GuardServer:
             self.fatal = exc
             log.warning("worker terminated by protection fault: %s", exc)
         except Exception as exc:
-            # anything else (a heap that runs out under many connections,
-            # say) is a cause to report too
+            # anything else (a parser that raises something other than a
+            # ParseError, say) is a cause to report too
             self.fatal = exc
             log.exception("worker terminated by %s", type(exc).__name__)
         finally:

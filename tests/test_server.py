@@ -9,9 +9,11 @@ import warnings
 
 import pytest
 
+from capdomains import domains as domains_mod
 from capdomains import server as server_mod
 from capdomains.capmem import BoundsViolation, Capability, FaultKind, FaultRecord, MemoryArena
-from capdomains.domains import DomainManager, Normal
+from capdomains.domains import DomainManager
+from capdomains.tlsf import TlsfControl
 from capdomains.server import (
     HEADER_BUF_LEN,
     GuardServer,
@@ -332,8 +334,8 @@ def test_repeated_attacks_do_not_grow_reserved_bytes():
 
 
 def test_closing_a_connection_that_survived_an_abort():
-    # the abort discards the parse heap and every buffer in it; connections
-    # that outlive it must neither reuse nor free their old buffer
+    # the abort discards the parse heap and the worker's buffer in it;
+    # connections that outlive it are served, and closed, as before
     srv = start_server("domains")
     try:
         a, b = connect(srv.port), connect(srv.port)
@@ -354,6 +356,63 @@ def test_closing_a_connection_that_survived_an_abort():
         assert srv.alive and srv.fatal is None
         b.close()
         d.close()
+    finally:
+        srv.stop()
+        srv.join()
+
+
+def test_after_an_abort_the_next_parse_takes_a_fresh_buffer(monkeypatch):
+    # the abort discarded the heap that held the worker's buffer; parsing
+    # into it again would write into the next heap through a stale capability
+    bufs = []
+    parse = server_mod.parse_request_line
+
+    def recorded_parse(data, buf):
+        bufs.append(buf)
+        return parse(data, buf)
+
+    monkeypatch.setattr(server_mod, "parse_request_line", recorded_parse)
+    srv = start_server("domains")
+    try:
+        with connect(srv.port) as a:
+            assert roundtrip(a, b"GET /a\n")[0] == b"OK"
+            before = bufs[-1]
+            with connect(srv.port) as c:
+                c.sendall(ATTACK)
+                assert read_response(c) is None
+            assert roundtrip(a, b"GET /a\n")[0] == b"OK"
+        assert bufs[-1] is not before
+        assert srv.alive and srv.fatal is None
+    finally:
+        srv.stop()
+        srv.join()
+
+
+@pytest.mark.parametrize("mode", ["tlsf", "domains"])
+def test_connections_take_no_buffer_of_their_own(mode, monkeypatch):
+    calls = {"malloc": 0, "free": 0}
+
+    def counted(name):
+        method = getattr(TlsfControl, name)
+
+        def wrapper(self, *args):
+            if threading.current_thread().name.startswith("guard-"):
+                calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(TlsfControl, "malloc", counted("malloc"))
+    monkeypatch.setattr(TlsfControl, "free", counted("free"))
+    srv = start_server(mode)
+    try:
+        for _ in range(8):
+            with connect(srv.port) as sock:
+                assert roundtrip(sock, b"GET /x\n")[0] == b"OK"
+        with connect(srv.port) as probe:
+            stats_fields(probe)
+            stats_fields(probe)
+        assert calls == {"malloc": 0, "free": 0}
     finally:
         srv.stop()
         srv.join()
@@ -442,7 +501,8 @@ def test_one_read_is_parsed_in_one_domain_entry(monkeypatch):
         with connect(srv.port) as sock:
             sock.sendall(b"GET /w\n" * 16)
             assert read_exactly(sock, 16 * 5) == b"OK 0\n" * 16
-            # counted before the close, whose buffer free enters the domain too
+            # the worker's buffer was taken at start, so the parse pass is
+            # the read's only entry
             assert calls == {"domain_call": 1, "parse": 16}
     finally:
         srv.stop()
@@ -468,7 +528,7 @@ def test_control_lines_in_a_batch_are_answered_in_order(mode):
     ok = b"OK 128\n" + server_mod._payload_body(128)
     err = b"ERR expected-exactly-METHOD-SP-PATH\n"
     # the arena reservations each mode makes once, at start
-    reserved = server_mod.MAX_CONNECTIONS * 64 if mode == "baseline" else server_mod.HEAP_SIZE
+    reserved = HEADER_BUF_LEN if mode == "baseline" else server_mod.HEAP_SIZE
     stats = (
         f"mode={mode} payload=128 served=2 rejected=0 bytes_out={len(ok) + len(err)} "
         f"reserved={reserved} heap_generation={int(mode == 'domains')} alive=1 overlong=0"
@@ -667,23 +727,34 @@ def test_stop_leaves_no_socket_open(mode):
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
+class RootlessArena(MemoryArena):
+    """An arena whose arena-wide root is untagged: a capability minted from
+    it faults, so only buffers derived from a region root work."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.root = self.root.untagged()
+
+
 @pytest.mark.parametrize("mode", server_mod.MODES)
 def test_buffers_derive_from_their_region_root_not_the_arena_root(mode, monkeypatch):
-    # with the arena-wide root untagged, a buffer minted from it would fault
     monkeypatch.delenv("APP_HEAP_SIZE", raising=False)
-    if mode == "domains":
-        mgr = DomainManager(arena_size=server_mod.ARENA_SIZE, default_heap_size=server_mod.HEAP_SIZE)
-        mgr.arena.root = mgr.arena.root.untagged()
-        outcome = mgr.domain_call(1, lambda: mgr.dalloc(64).store(0, b"\x5a" * 64))
-        assert isinstance(outcome, Normal), outcome
-        return
-    arena = MemoryArena(server_mod.ARENA_SIZE)
-    arena.root = arena.root.untagged()
-    if mode == "tlsf":
-        heap = server_mod.tlsf_create_with_pool(arena.reserve(server_mod.HEAP_SIZE), server_mod.HEAP_SIZE)
-    else:
-        heap = server_mod._FixedBufPool(arena, HEADER_BUF_LEN, server_mod.MAX_CONNECTIONS)
-    heap.malloc(64).store(0, b"\x5a" * 64)
+    monkeypatch.setattr(server_mod, "MemoryArena", RootlessArena)
+    monkeypatch.setattr(domains_mod, "MemoryArena", RootlessArena)
+    srv = start_server(mode)
+    try:
+        with connect(srv.port) as sock:
+            assert roundtrip(sock, b"GET /x\n")[0] == b"OK"
+        if mode == "domains":
+            with connect(srv.port) as sock:
+                sock.sendall(ATTACK)
+                assert read_response(sock) is None
+            with connect(srv.port) as sock:
+                assert roundtrip(sock, b"GET /y\n")[0] == b"OK"
+        assert srv.alive and srv.fatal is None
+    finally:
+        srv.stop()
+        srv.join()
 
 
 @pytest.mark.parametrize("heap_size", ["abc", "13328"])
