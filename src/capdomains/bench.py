@@ -22,13 +22,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .server import MODES, GuardServer, PAYLOAD_BYTES, ServerConfig
+from .server import MODES, OVERSIZE_LEN, GuardServer, PAYLOAD_BYTES, ServerConfig
 
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "mode,payload,run,requests,rps,served,rejected"
 COMPARE_CSV_HEADER = "mode,payload,rps_mean,rps_std,overhead_pct"
-OVERSIZE_LEN = 200  # > server.HEADER_BUF_LEN, triggers the parser fault
 BENIGN_LINE = b"GET /bench\n"
 
 

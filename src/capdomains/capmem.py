@@ -21,8 +21,8 @@ import enum
 import mmap
 import sys
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 
 class FaultKind(enum.Enum):
@@ -31,17 +31,13 @@ class FaultKind(enum.Enum):
     BOUNDS = "bounds-violation"
 
 
-@dataclass(frozen=True)
-class FaultRecord:
+class FaultRecord(NamedTuple):
     """Cause of a rejected access.  The faulting access wrote zero bytes."""
 
     kind: FaultKind
     faulting_address: int
     access_len: int
     domain_udi: int = 0
-
-    def with_domain(self, udi):
-        return FaultRecord(self.kind, self.faulting_address, self.access_len, udi)
 
 
 class ProtectionFault(Exception):
@@ -73,11 +69,30 @@ class ArenaExhausted(Exception):
     """No gap large enough to reserve a region."""
 
 
-@dataclass(frozen=True)
 class Permissions:
-    load: bool
-    store: bool
-    execute: bool = False  # present in the model, never granted here
+    """Immutable flags, equal by value.  Slots, not a tuple: every checked
+    access reads two of them, and a slot reads faster than a tuple field."""
+
+    __slots__ = ("load", "store", "execute")
+
+    def __init__(self, load, store, execute=False):  # execute: never granted here
+        for name, flag in zip(Permissions.__slots__, (load, store, execute)):
+            object.__setattr__(self, name, flag)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permissions are immutable")
+
+    def _flags(self):
+        return self.load, self.store, self.execute
+
+    def __eq__(self, other):
+        return isinstance(other, Permissions) and self._flags() == other._flags()
+
+    def __hash__(self):
+        return hash(self._flags())
+
+    def __repr__(self):
+        return "Permissions(load=%r, store=%r, execute=%r)" % self._flags()
 
 
 PERM_RW = Permissions(load=True, store=True)

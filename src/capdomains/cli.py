@@ -5,8 +5,7 @@ import logging
 import sys
 from typing import List, Optional
 
-from . import bench as bench_mod
-from .server import PAYLOAD_BYTES, MODES, GuardServer, ServerConfig
+from .server import OVERSIZE_LEN, PAYLOAD_BYTES, MODES, GuardServer, ServerConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="send one oversized request line")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True)
-    p.add_argument("--oversize", type=int, default=bench_mod.OVERSIZE_LEN)
+    p.add_argument("--oversize", type=int, default=OVERSIZE_LEN)
 
     sub.add_parser("demo", help="five-request scenario, protected vs unprotected")
 
@@ -77,7 +76,7 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, bench_mod) -> int:
     cfg = bench_mod.BenchConfig(
         host=args.host,
         port=args.port,
@@ -100,13 +99,13 @@ def _cmd_bench(args) -> int:
     return 0 if result.server_alive else 1
 
 
-def _cmd_attack(args) -> int:
+def _cmd_attack(args, bench_mod) -> int:
     dropped = bench_mod.attack(args.host, args.port, oversize=args.oversize)
     print("connection dropped" if dropped else "request was answered")
     return 0 if dropped else 1
 
 
-def _cmd_demo(_args) -> int:
+def _cmd_demo(_args, bench_mod) -> int:
     outcome = bench_mod.demo(echo=print)
     dom, base = outcome["domains"], outcome["baseline"]
     ok = dom["alive"] and dom["served"] == 4 and not base["alive"]
@@ -114,7 +113,7 @@ def _cmd_demo(_args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, bench_mod) -> int:
     results = bench_mod.run_matrix(
         modes=tuple(args.modes.split(",")),
         payloads=tuple(args.payloads.split(",")),
@@ -138,15 +137,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    handlers = {
-        "serve": _cmd_serve,
+    harness_commands = {
         "bench": _cmd_bench,
         "attack": _cmd_attack,
         "demo": _cmd_demo,
         "compare": _cmd_compare,
     }
     try:
-        return handlers[args.command](args)
+        if args.command == "serve":
+            return _cmd_serve(args)
+        from . import bench as bench_mod  # the harness: a server never loads it
+        return harness_commands[args.command](args, bench_mod)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -224,7 +224,7 @@ class DomainManager:
         consume, or :class:`MainDomainFault` when main itself faulted.
         """
         udi = self.active_domain
-        record = record.with_domain(udi)
+        record = record._replace(domain_udi=udi)
         if udi == 0:
             raise MainDomainFault(record)
         raise _Rewind(udi, record)

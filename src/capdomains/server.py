@@ -50,7 +50,6 @@ import logging
 import selectors
 import socket
 import threading
-from dataclasses import dataclass, replace
 from typing import Dict, NamedTuple, Optional
 
 from .capmem import Capability, MemoryArena, ProtectionFault
@@ -65,6 +64,7 @@ PARSE_DOMAIN_UDI = 1  # single nested domain reserved for request parsing
 
 # enough for any benign request line; attacks must exceed it
 HEADER_BUF_LEN = 64
+OVERSIZE_LEN = 200  # the harness's attack line: > HEADER_BUF_LEN, so the parse faults
 MAX_LINE = 64 * 1024  # reads beyond this without a newline are protocol abuse
 # queued reply bytes at which a connection's lines stop being answered until
 # the client reads; bounds what one non-reading client can make the worker hold
@@ -88,26 +88,28 @@ class RequestLine(NamedTuple):
 _new_tuple = tuple.__new__  # builds a RequestLine as RequestLine._make does
 
 
-@dataclass
 class ConnectionStats:
-    served: int = 0
-    rejected_malicious: int = 0
-    bytes_out: int = 0
-    overlong: int = 0
+    __slots__ = ("served", "rejected_malicious", "bytes_out", "overlong")
+
+    def __init__(self, served=0, rejected_malicious=0, bytes_out=0, overlong=0):
+        self.served = served
+        self.rejected_malicious = rejected_malicious
+        self.bytes_out = bytes_out
+        self.overlong = overlong
 
 
-@dataclass(frozen=True)
 class ServerConfig:
-    listen_port: int
-    mode: str
-    payload_size: int
-    host: str = "127.0.0.1"
+    __slots__ = ("listen_port", "mode", "payload_size", "host")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.payload_size < 0:
+    def __init__(self, listen_port: int, mode: str, payload_size: int, host: str = "127.0.0.1"):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if payload_size < 0:
             raise ValueError("payload_size must be >= 0")
+        self.listen_port = listen_port
+        self.mode = mode
+        self.payload_size = payload_size
+        self.host = host
 
 
 def parse_request_line(data: bytes, buf: Capability) -> RequestLine:
@@ -214,7 +216,8 @@ class GuardServer:
 
     def stats_snapshot(self) -> ConnectionStats:
         with self._stats_lock:
-            return replace(self._stats)
+            s = self._stats
+            return ConnectionStats(s.served, s.rejected_malicious, s.bytes_out, s.overlong)
 
     # ------------------------------------------------------------ worker
 

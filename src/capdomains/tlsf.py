@@ -30,7 +30,7 @@ a 32-byte sentinel (prev_phys + size fields only) whose size is zero.
 import struct
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from capdomains.capmem import TagViolation, round_representable_length
 
@@ -85,15 +85,14 @@ class DoubleFree(InvalidFree):
     pass
 
 
-@dataclass
 class AllocStats:
-    bytes_allocated: int = 0
-    bytes_reserved: int = 0
-    live_allocations: int = 0
+    __slots__ = ("bytes_allocated", "bytes_reserved", "live_allocations")
+
+    def __init__(self):
+        self.bytes_allocated = self.bytes_reserved = self.live_allocations = 0
 
 
-@dataclass(frozen=True)
-class PoolDescriptor:
+class PoolDescriptor(NamedTuple):
     region: "capdomains.capmem.Capability"
     size: int
     has_control: bool = False

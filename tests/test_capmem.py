@@ -14,6 +14,7 @@ from capdomains.capmem import (
     FaultKind,
     FaultRecord,
     MemoryArena,
+    Permissions,
     PermissionViolation,
     TagViolation,
     round_representable_length,
@@ -464,3 +465,21 @@ def test_capability_equality_and_repr():
     assert a == b
     assert a != arena.root
     assert "8" in repr(a)
+    # perms take part: equal flags in a fresh Permissions compare equal
+    assert a.perms_and() == a and a.perms_and().perms is not a.perms
+    assert a.perms_and(store=False) != a
+    assert a.perms_and(load=False) != a.perms_and(store=False)
+
+
+def test_fault_records_and_permissions_are_immutable_values():
+    rec = FaultRecord(FaultKind.BOUNDS, 12, 4)
+    same = FaultRecord(FaultKind.BOUNDS, faulting_address=12, access_len=4, domain_udi=0)
+    assert rec == same and hash(rec) == hash(same) and len({rec, same}) == 1
+    assert rec != FaultRecord(FaultKind.BOUNDS, 12, 4, domain_udi=1)
+    perms = MemoryArena(64).root.perms_and(store=False).perms
+    assert perms == Permissions(load=True, store=False)
+    assert hash(perms) == hash(Permissions(True, False)) and perms != PERM_RW
+    for obj, field in ((rec, "access_len"), (rec, "domain_udi"), (perms, "load"), (PERM_RW, "store")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, False)
+    assert rec == same and perms.load and PERM_RW.store

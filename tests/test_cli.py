@@ -1,8 +1,12 @@
 """CLI surface: argument wiring and end-to-end subcommand smoke runs."""
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,28 @@ def test_parser_defaults():
         build_parser().parse_args(["serve", "--mode", "nonsense"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bench"])  # port is required
+    args = build_parser().parse_args(["attack", "--port", "9"])
+    assert args.oversize == server_mod.OVERSIZE_LEN == 200
+    assert args.oversize > server_mod.HEADER_BUF_LEN
+
+
+def test_serve_loads_only_the_serving_modules():
+    # a fresh interpreter, because pytest itself has loaded dataclasses
+    probe = (
+        "import capdomains.cli, sys; "
+        "print(*sorted(m for m in sys.modules if m.startswith('capdomains'))); "
+        "print(*[m for m in ('capdomains.bench', 'dataclasses', 'statistics', 'csv') if m in sys.modules])"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.split("\n")
+    assert out[0].split() == [
+        "capdomains", "capdomains.capmem", "capdomains.cli", "capdomains.domains",
+        "capdomains.server", "capdomains.tlsf",
+    ]
+    assert out[1].split() == [], "serve loaded the harness or its imports"
 
 
 def test_serve_until_shutdown_request():

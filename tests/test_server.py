@@ -757,6 +757,18 @@ def test_buffers_derive_from_their_region_root_not_the_arena_root(mode, monkeypa
         srv.join()
 
 
+@pytest.mark.parametrize("mode, payload_size", [("bogus", 0), ("domains", -1)])
+def test_config_refuses_a_bad_mode_or_payload_before_any_port_is_bound(mode, payload_size, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a socket or an arena was made")
+
+    for owner, name in ((server_mod.socket, "create_server"), (server_mod, "MemoryArena"),
+                        (server_mod, "DomainManager")):
+        monkeypatch.setattr(owner, name, never)
+    with pytest.raises(ValueError, match="mode" if payload_size == 0 else "payload_size"):
+        GuardServer(ServerConfig(listen_port=0, mode=mode, payload_size=payload_size)).start()
+
+
 @pytest.mark.parametrize("heap_size", ["abc", "13328"])
 def test_start_refuses_a_buffer_that_can_never_be_served(heap_size, monkeypatch):
     # 13,328 bytes lay out a heap whose only free block is 16 bytes, too
