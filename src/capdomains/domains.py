@@ -11,8 +11,10 @@ an :class:`Aborted` outcome instead of an exception.  Everything the
 domain touched is discarded wholesale, so no corrupted state can leak
 back out.
 
-The main domain (index 0) has nothing to rewind to; a fault there is
-re-raised as :class:`MainDomainFault` and is expected to be fatal.
+The fault unwinds itself: the first ``domain_call`` it reaches writes the
+active domain's udi into its record, and calls further out route it by
+that udi.  The main domain (index 0) has nothing to rewind to; a fault
+raised there becomes :class:`MainDomainFault` and is expected to be fatal.
 """
 
 import os
@@ -91,16 +93,6 @@ class Aborted:
 
 
 DomainOutcome = Union[Normal, Aborted]
-
-
-class _Rewind(Exception):
-    # internal unwinding vehicle, consumed by the domain_call that owns it
-    __slots__ = ("target_udi", "record")
-
-    def __init__(self, target_udi: int, record: FaultRecord):
-        super().__init__(f"rewind to domain {target_udi}")
-        self.target_udi = target_udi
-        self.record = record
 
 
 class _Slot:
@@ -207,8 +199,9 @@ class DomainManager:
         slot = self._slots[udi]
         if not slot.domain_init:
             return
+        slot.domain_init = False  # first, so that a cycle of parents ends here
         for child in range(1, MAX_DOMAIN_ID + 1):
-            if child != udi and self._slots[child].domain_init and self._slots[child].parent_udi == udi:
+            if self._slots[child].domain_init and self._slots[child].parent_udi == udi:
                 self.destroy(child)
         if slot.heap is not None:
             slot.heap.destroy()
@@ -216,18 +209,6 @@ class DomainManager:
         slot.reset()
 
     # ---------------------------------------------------------- fault routing
-
-    def fault_dispatch(self, record: FaultRecord):
-        """Route a protection fault to the domain_call that owns the active domain.
-
-        Never returns: raises the internal rewind for domain_call to
-        consume, or :class:`MainDomainFault` when main itself faulted.
-        """
-        udi = self.active_domain
-        record = record._replace(domain_udi=udi)
-        if udi == 0:
-            raise MainDomainFault(record)
-        raise _Rewind(udi, record)
 
     def _is_descendant(self, udi: int, ancestor: int) -> bool:
         seen = 0
@@ -244,14 +225,16 @@ class DomainManager:
         The slot is set up on demand and entered; on a normal return the
         domain survives (heap and all) and the value comes back wrapped in
         :class:`Normal`.  A protection fault raised by any capability the
-        routine touches unwinds to the innermost call whose domain is the
+        routine touches is stamped by the innermost call with the domain
+        active when it was raised (:class:`MainDomainFault` if that is
+        main).  It unwinds to the innermost call whose domain is the
         faulting one or one of its ancestors; that call destroys its domain
         and yields :class:`Aborted`.  A call entered from main also takes a
         fault that no inner call owns (a domain entered by hand from outside
         the call's subtree): it destroys the faulting domain and its own.
-        Exceptions that are not protection faults pass through untouched
-        and leave the domain alive.  The active domain is restored on every
-        exit.
+        With no such call, the stamped fault reaches the caller.  Exceptions
+        that are not protection faults pass through untouched and leave the
+        domain alive.  The active domain is restored on every exit.
         """
         if not 1 <= udi <= MAX_DOMAIN_ID:
             raise ValueError(f"domain_call({udi}) rejected: UDI_OUT_OF_BOUNDS")
@@ -262,17 +245,20 @@ class DomainManager:
         prev_active = self.active_domain
         self.active_domain = udi
         try:
-            try:
-                return Normal(routine())
-            except ProtectionFault as exc:
-                self.fault_dispatch(exc.record)
-        except _Rewind as rw:
-            if rw.target_udi != udi and not self._is_descendant(rw.target_udi, udi):
+            return Normal(routine())
+        except ProtectionFault as exc:
+            record = exc.record
+            if record.domain_udi == 0:  # no inner call has seen it
+                if self.active_domain == 0:
+                    raise MainDomainFault(record)
+                record = exc.record = record._replace(domain_udi=self.active_domain)
+            faulted = record.domain_udi
+            if faulted != udi and not self._is_descendant(faulted, udi):
                 if prev_active != 0:
-                    raise  # a call further out owns this rewind
-                self.destroy(rw.target_udi)  # owned by no call: main is next
+                    raise  # a call further out owns this fault
+                self.destroy(faulted)  # owned by no call: main is next
             self.destroy(udi)
-            return Aborted(rw.record)
+            return Aborted(record)
         finally:
             self.active_domain = prev_active
 

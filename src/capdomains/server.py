@@ -18,8 +18,9 @@ The modes differ only in where the buffer comes from and whether the parse
 is contained; the worker picks both once and then runs one path.  The
 worker is single-threaded and a line stays in the buffer only while it is
 parsed, so one buffer serves every connection.  In domains mode an abort
-discards the parse heap and that buffer with it; the worker forgets it and
-the next parse takes a fresh one from the new heap.
+discards the parse heap and that buffer with it; the worker takes a fresh
+one from a new heap at once, so it always holds a live buffer and ``STATS``
+only reads counters.
 
 Wire protocol, one line per request, keep-alive:
 
@@ -106,6 +107,8 @@ class ServerConfig:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if payload_size < 0:
             raise ValueError("payload_size must be >= 0")
+        if not 0 <= listen_port <= 65535:
+            raise ValueError(f"listen_port must be in 0..65535, got {listen_port}")
         self.listen_port = listen_port
         self.mode = mode
         self.payload_size = payload_size
@@ -234,7 +237,7 @@ class GuardServer:
                 return manager.domain_call(PARSE_DOMAIN_UDI, functools.partial(job, *args))
 
             try:
-                buf = manager.domain_call(PARSE_DOMAIN_UDI, lambda: manager.dalloc(HEADER_BUF_LEN)).value
+                buf = contain(manager.dalloc, HEADER_BUF_LEN).value
             except (AllocationError, HeapInitError) as exc:
                 raise ValueError(
                     f"domains mode cannot serve a {HEADER_BUF_LEN}-byte request buffer "
@@ -303,13 +306,7 @@ class GuardServer:
 
         def stats_body() -> bytes:
             snap = self.stats_snapshot()
-            gen = 0
-            if manager is not None:
-                # provision first so reserved and heap_generation describe the
-                # same instant (a just-aborted parse heap would otherwise report
-                # generation 0 next to its re-provisioned reservation)
-                manager.domain_call(PARSE_DOMAIN_UDI, manager.heap_init)
-                gen = manager.heap_generation(PARSE_DOMAIN_UDI)
+            gen = 0 if manager is None else manager.heap_generation(PARSE_DOMAIN_UDI)
             text = (
                 f"mode={cfg.mode} payload={cfg.payload_size} "
                 f"served={snap.served} rejected={snap.rejected_malicious} "
@@ -325,11 +322,9 @@ class GuardServer:
         def parse_lines(conn: _Conn, start: int, nl: int) -> None:
             """One parse pass from the request line ``rbuf[start : nl + 1]`` up to
             a control line, ``OUT_HIGH_WATER`` queued bytes or no complete line."""
-            nonlocal done, buf
+            nonlocal done
             rbuf, out = conn.rbuf, conn.out
             try:
-                if buf is None:  # domains mode, after an abort discarded the last one
-                    buf = manager.dalloc(HEADER_BUF_LEN)
                 while True:
                     try:
                         parse_request_line(rbuf[start : nl + 1], buf)
@@ -364,8 +359,9 @@ class GuardServer:
                         if isinstance(outcome, Aborted):
                             log.info("connection dropped after contained fault: %s", outcome.fault)
                             bump(rejected=1)
-                            buf = None  # the discarded parse heap took the buffer with it
                             close_conn(conn)
+                            # the discarded parse heap took the buffer with it
+                            buf = contain(manager.dalloc, HEADER_BUF_LEN).value
                             return
                     elif rbuf.startswith(b"STATS\n", start):
                         body = stats_body()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from capdomains.capmem import FaultKind, FaultRecord
+from capdomains.capmem import BoundsViolation, FaultKind
 from capdomains.domains import (
     APP_DEFAULT_HEAP_SIZE,
     MAX_DOMAIN_ID,
@@ -160,10 +160,38 @@ def test_non_protection_exceptions_propagate():
 
 
 def test_fault_in_main_is_fatal():
+    # the routine leaves its domain for main by hand and faults there
     mgr = small_manager()
-    record = FaultRecord(FaultKind.BOUNDS, faulting_address=12, access_len=4)
-    with pytest.raises(MainDomainFault):
-        mgr.fault_dispatch(record)
+
+    def routine():
+        buf = mgr.dalloc(16)
+        mgr.exit()
+        buf.store(0, b"x" * 32)
+
+    with pytest.raises(MainDomainFault) as caught:
+        mgr.domain_call(1, routine)
+    assert caught.value.record.domain_udi == 0
+    assert mgr.active_domain == 0
+    assert mgr.is_initialized(1)
+
+
+def test_a_fault_no_call_owns_reaches_the_caller_stamped():
+    # main entered domain 1 by hand, so the only call is entered from a
+    # domain; domain 3 hangs under main, outside that call's subtree
+    mgr = small_manager()
+    mgr.setup(3)
+    mgr.setup(1)
+    mgr.enter(1)
+
+    def routine():
+        mgr.enter(3)
+        mgr.dalloc(16).store(0, b"!" * 32)
+
+    with pytest.raises(BoundsViolation) as caught:
+        mgr.domain_call(2, routine)
+    assert caught.value.record.domain_udi == 3
+    assert mgr.active_domain == 1
+    assert all(mgr.is_initialized(u) for u in (1, 2, 3))
 
 
 def test_nested_call_fault_isolates_innermost():
@@ -274,6 +302,21 @@ def test_destroy_parent_takes_children_post_order():
     assert not mgr.is_initialized(1)
     assert not mgr.is_initialized(2)
     assert mgr.arena.reserved_bytes == 0
+
+
+def test_destroy_ends_on_a_cycle_of_parents():
+    # a slot set up while the active domain is a destroyed one is parented
+    # to the dead slot; setting that slot up again from its child closes a cycle
+    mgr = small_manager()
+    mgr.setup(1)
+    mgr.enter(1)
+    mgr.destroy(1)
+    mgr.setup(2)
+    mgr.enter(2)
+    mgr.setup(1)
+    assert (mgr.parent_of(1), mgr.parent_of(2)) == (2, 1)
+    mgr.destroy(1)
+    assert not mgr.is_initialized(1) and not mgr.is_initialized(2)
 
 
 def test_destroy_uninit_is_noop():

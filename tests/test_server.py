@@ -418,6 +418,41 @@ def test_connections_take_no_buffer_of_their_own(mode, monkeypatch):
         srv.join()
 
 
+def test_stats_after_an_abort_only_reads(monkeypatch):
+    # the abort itself took the next buffer, so STATS provisions nothing
+    events = []
+
+    def on_guard_thread(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(self, *args):
+            if threading.current_thread().name.startswith("guard-"):
+                events.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((DomainManager, "domain_call"), (DomainManager, "heap_init"),
+                        (GuardServer, "stats_snapshot")):  # stats_snapshot opens each STATS
+        on_guard_thread(owner, name)
+    srv = start_server("domains")
+    try:
+        with connect(srv.port) as c:
+            c.sendall(ATTACK)
+            assert read_response(c) is None
+        with connect(srv.port) as probe:
+            for _ in range(2):
+                fields = stats_fields(probe)
+                assert fields[b"heap_generation"] == b"2"
+                assert fields[b"reserved"] == str(server_mod.HEAP_SIZE).encode()
+        during = events[events.index("stats_snapshot"):]
+        assert during == ["stats_snapshot", "stats_snapshot"]
+        assert srv.alive and srv.fatal is None
+    finally:
+        srv.stop()
+        srv.join()
+
+
 # ---------------------------------------------------------------- send path
 
 def read_exactly(sock, n):
@@ -757,16 +792,21 @@ def test_buffers_derive_from_their_region_root_not_the_arena_root(mode, monkeypa
         srv.join()
 
 
-@pytest.mark.parametrize("mode, payload_size", [("bogus", 0), ("domains", -1)])
-def test_config_refuses_a_bad_mode_or_payload_before_any_port_is_bound(mode, payload_size, monkeypatch):
+@pytest.mark.parametrize("mode, payload_size, port, match", [
+    pytest.param("bogus", 0, 0, "mode", id="bogus-0"),
+    pytest.param("domains", -1, 0, "payload_size", id="domains--1"),
+    pytest.param("domains", 0, 70000, "listen_port", id="port-70000"),
+])
+def test_config_refuses_a_bad_mode_or_payload_before_any_port_is_bound(mode, payload_size, port, match,
+                                                                       monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a socket or an arena was made")
 
     for owner, name in ((server_mod.socket, "create_server"), (server_mod, "MemoryArena"),
                         (server_mod, "DomainManager")):
         monkeypatch.setattr(owner, name, never)
-    with pytest.raises(ValueError, match="mode" if payload_size == 0 else "payload_size"):
-        GuardServer(ServerConfig(listen_port=0, mode=mode, payload_size=payload_size)).start()
+    with pytest.raises(ValueError, match=match):
+        GuardServer(ServerConfig(listen_port=port, mode=mode, payload_size=payload_size)).start()
 
 
 @pytest.mark.parametrize("heap_size", ["abc", "13328"])
