@@ -1,10 +1,11 @@
 """Software emulation of capability-checked memory over a flat byte arena.
 
 Every guarded access goes through a Capability: an address plus bounds,
-permissions and a validity tag.  Checks run in a fixed order (tag, then
-permission, then bounds) and always *before* the arena is touched, so a
-faulting store leaves the arena bit-identical.  Out-of-bounds addresses are
-representable on derivation; only dereferencing them faults.
+permissions (two bits of an int, ``PERM_LOAD`` and ``PERM_STORE``, that
+derivation can only clear) and a validity tag.  Checks run in a fixed order
+(tag, then permission, then bounds) and always *before* the arena is
+touched, so a faulting store leaves the arena bit-identical.  Out-of-bounds
+addresses are representable on derivation; only dereferencing them faults.
 
 ``store`` and ``load`` move one run of bytes per check.  ``view`` checks a
 whole window once and hands back a writable memoryview of it, so a caller
@@ -69,33 +70,9 @@ class ArenaExhausted(Exception):
     """No gap large enough to reserve a region."""
 
 
-class Permissions:
-    """Immutable flags, equal by value.  Slots, not a tuple: every checked
-    access reads two of them, and a slot reads faster than a tuple field."""
-
-    __slots__ = ("load", "store", "execute")
-
-    def __init__(self, load, store, execute=False):  # execute: never granted here
-        for name, flag in zip(Permissions.__slots__, (load, store, execute)):
-            object.__setattr__(self, name, flag)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permissions are immutable")
-
-    def _flags(self):
-        return self.load, self.store, self.execute
-
-    def __eq__(self, other):
-        return isinstance(other, Permissions) and self._flags() == other._flags()
-
-    def __hash__(self):
-        return hash(self._flags())
-
-    def __repr__(self):
-        return "Permissions(load=%r, store=%r, execute=%r)" % self._flags()
-
-
-PERM_RW = Permissions(load=True, store=True)
+PERM_LOAD = 1
+PERM_STORE = 2
+PERM_RW = PERM_LOAD | PERM_STORE
 
 
 def round_representable_length(size):
@@ -133,8 +110,8 @@ class Capability:
             self.address,
             self.base,
             self.top,
-            "r" if self.perms.load else "-",
-            "w" if self.perms.store else "-",
+            "r" if self.perms & PERM_LOAD else "-",
+            "w" if self.perms & PERM_STORE else "-",
             self.tag,
         )
 
@@ -171,16 +148,16 @@ class Capability:
         return Capability(self._arena, addr, addr, addr + length, self.perms, True)
 
     def perms_and(self, load=True, store=True):
-        """Mask permissions; flags can only be cleared, never re-granted."""
+        """Mask permissions; bits can only be cleared, never re-granted."""
         if not self.tag:
             raise TagViolation(self.address)
-        p = self.perms
+        mask = (PERM_LOAD if load else 0) | (PERM_STORE if store else 0)
         return Capability(
             self._arena,
             self.address,
             self.base,
             self.top,
-            Permissions(p.load and load, p.store and store, False),
+            self.perms & mask,
             True,
         )
 
@@ -194,7 +171,7 @@ class Capability:
         n = len(data)
         if not self.tag:
             raise TagViolation(self.address + offset, n)
-        if not self.perms.store:
+        if not self.perms & PERM_STORE:
             raise PermissionViolation(self.address + offset, n)
         addr = self.address + offset
         if n and (addr < self.base or addr + n > self.top):
@@ -204,7 +181,7 @@ class Capability:
     def load(self, offset, length):
         if not self.tag:
             raise TagViolation(self.address + offset, length)
-        if not self.perms.load:
+        if not self.perms & PERM_LOAD:
             raise PermissionViolation(self.address + offset, length)
         addr = self.address + offset
         if length and (addr < self.base or addr + length > self.top or length < 0):
@@ -222,8 +199,7 @@ class Capability:
         addr = self.address + offset
         if not self.tag:
             raise TagViolation(addr, length)
-        perms = self.perms
-        if not (perms.load and perms.store):
+        if self.perms != PERM_RW:
             raise PermissionViolation(addr, length)
         if length and (addr < self.base or addr + length > self.top or length < 0):
             raise BoundsViolation(addr, length)

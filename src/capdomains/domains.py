@@ -15,6 +15,11 @@ The fault unwinds itself: the first ``domain_call`` it reaches writes the
 active domain's udi into its record, and calls further out route it by
 that udi.  The main domain (index 0) has nothing to rewind to; a fault
 raised there becomes :class:`MainDomainFault` and is expected to be fatal.
+
+The active domain is always a live one.  Destroying it moves it to the
+parent of the topmost domain destroyed, and a ``domain_call`` returns to
+the domain it was entered from only if that domain still exists.  So every
+live domain's parent is live and was set up before it: parents form no cycle.
 """
 
 import os
@@ -191,7 +196,8 @@ class DomainManager:
         """Tear down a domain and every domain parented beneath it.
 
         Children go first so that no slot is ever left pointing at a dead
-        parent.  Heap pools are handed back to the arena.  Destroying an
+        parent, and an active domain among them climbs to the parent of
+        ``udi``.  Heap pools are handed back to the arena.  Destroying an
         uninitialized slot is a no-op; destroying main is refused.
         """
         if not 1 <= udi <= MAX_DOMAIN_ID:
@@ -199,10 +205,11 @@ class DomainManager:
         slot = self._slots[udi]
         if not slot.domain_init:
             return
-        slot.domain_init = False  # first, so that a cycle of parents ends here
         for child in range(1, MAX_DOMAIN_ID + 1):
             if self._slots[child].domain_init and self._slots[child].parent_udi == udi:
                 self.destroy(child)
+        if self.active_domain == udi:
+            self.active_domain = slot.parent_udi
         if slot.heap is not None:
             slot.heap.destroy()
             self.arena.release(slot.heap_region)
@@ -211,12 +218,10 @@ class DomainManager:
     # ---------------------------------------------------------- fault routing
 
     def _is_descendant(self, udi: int, ancestor: int) -> bool:
-        seen = 0
-        while udi != 0 and seen <= MAX_DOMAIN_ID:
+        while udi != 0:
             udi = self._slots[udi].parent_udi
             if udi == ancestor:
                 return True
-            seen += 1
         return False
 
     def domain_call(self, udi: int, routine: Callable[[], Any]) -> DomainOutcome:
@@ -234,7 +239,9 @@ class DomainManager:
         the call's subtree): it destroys the faulting domain and its own.
         With no such call, the stamped fault reaches the caller.  Exceptions
         that are not protection faults pass through untouched and leave the
-        domain alive.  The active domain is restored on every exit.
+        domain alive.  On every exit the domain the call was entered from is
+        active again, unless it was destroyed meanwhile; then the active
+        domain stays where :meth:`destroy` moved it.
         """
         if not 1 <= udi <= MAX_DOMAIN_ID:
             raise ValueError(f"domain_call({udi}) rejected: UDI_OUT_OF_BOUNDS")
@@ -260,7 +267,8 @@ class DomainManager:
             self.destroy(udi)
             return Aborted(record)
         finally:
-            self.active_domain = prev_active
+            if self._slots[prev_active].domain_init:
+                self.active_domain = prev_active
 
     # ---------------------------------------------------------- heaps
 
@@ -289,19 +297,13 @@ class DomainManager:
             raise HeapInitError(
                 f"arena cannot hold a {size}-byte heap for domain {self.active_domain}"
             ) from exc
-        first = min(size, self.max_pool_size)
+        step, end = self.max_pool_size, region.top
         try:
             heap = tlsf_create_with_pool(
-                region, first, max_pool_size=self.max_pool_size, debug=self.debug
+                region, min(size, step), max_pool_size=step, debug=self.debug
             )
-            remaining = size - first
-            addr = region.base + first
-            while remaining > self.max_pool_size:
-                heap.add_pool(region.address_set(addr), self.max_pool_size)
-                remaining -= self.max_pool_size
-                addr += self.max_pool_size
-            if remaining:
-                heap.add_pool(region.address_set(addr), remaining)
+            for addr in range(region.base + step, end, step):
+                heap.add_pool(region.address_set(addr), min(step, end - addr))
         except ValueError as exc:  # a pool below the allocator's minimum
             self.arena.release(region)
             raise HeapInitError(

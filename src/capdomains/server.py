@@ -43,6 +43,8 @@ its lines are answered once ``OUT_HIGH_WATER`` bytes wait for it, and the
 other connections keep being served.  ``served`` and ``bytes_out`` count a
 pass's replies when it ends, a fault that drops the connection included.
 A line longer than ``MAX_LINE`` drops its connection, counted in ``overlong``.
+A newcomer to a full table evicts the connection that has gone longest
+without a complete line (``evicted``), so silent clients lock no one out.
 Besides ``SHUTDOWN``, one signal stops the worker: a byte on its wake-up socket.
 """
 
@@ -72,7 +74,7 @@ MAX_LINE = 64 * 1024  # reads beyond this without a newline are protocol abuse
 OUT_HIGH_WATER = 256 * 1024
 HEAP_SIZE = 256 * 1024  # the tlsf worker heap and the domains parse heap
 ARENA_SIZE = 4 * 1024 * 1024
-MAX_CONNECTIONS = 64  # listen backlog and open-connection cap
+MAX_CONNECTIONS = 64  # listen backlog and open-connection table size
 _CONTROL = (b"STATS\n", b"SHUTDOWN\n")  # answered by the worker, never parsed
 
 
@@ -90,13 +92,14 @@ _new_tuple = tuple.__new__  # builds a RequestLine as RequestLine._make does
 
 
 class ConnectionStats:
-    __slots__ = ("served", "rejected_malicious", "bytes_out", "overlong")
+    __slots__ = ("served", "rejected_malicious", "bytes_out", "overlong", "evicted")
 
-    def __init__(self, served=0, rejected_malicious=0, bytes_out=0, overlong=0):
+    def __init__(self, served=0, rejected_malicious=0, bytes_out=0, overlong=0, evicted=0):
         self.served = served
         self.rejected_malicious = rejected_malicious
         self.bytes_out = bytes_out
         self.overlong = overlong
+        self.evicted = evicted
 
 
 class ServerConfig:
@@ -152,8 +155,6 @@ class _Conn:
 
 def _payload_body(size: int) -> bytes:
     pattern = b"capability-backed-response-payload-0123456789abcdef-"
-    if size == 0:
-        return b""
     reps = size // len(pattern) + 1
     return (pattern * reps)[:size]
 
@@ -220,7 +221,7 @@ class GuardServer:
     def stats_snapshot(self) -> ConnectionStats:
         with self._stats_lock:
             s = self._stats
-            return ConnectionStats(s.served, s.rejected_malicious, s.bytes_out, s.overlong)
+            return ConnectionStats(s.served, s.rejected_malicious, s.bytes_out, s.overlong, s.evicted)
 
     # ------------------------------------------------------------ worker
 
@@ -261,12 +262,13 @@ class GuardServer:
         conns: Dict[socket.socket, _Conn] = {}
         shutting_down = False
 
-        def bump(served=0, rejected=0, out=0, overlong=0):
+        def bump(served=0, rejected=0, out=0, overlong=0, evicted=0):
             with self._stats_lock:
                 self._stats.served += served
                 self._stats.rejected_malicious += rejected
                 self._stats.bytes_out += out
                 self._stats.overlong += overlong
+                self._stats.evicted += evicted
 
         def flush(conn: _Conn) -> None:
             """One non-blocking send of the queued bytes.  An unsent tail
@@ -311,7 +313,7 @@ class GuardServer:
                 f"mode={cfg.mode} payload={cfg.payload_size} "
                 f"served={snap.served} rejected={snap.rejected_malicious} "
                 f"bytes_out={snap.bytes_out} reserved={arena.reserved_bytes} "
-                f"heap_generation={gen} alive=1 overlong={snap.overlong}"
+                f"heap_generation={gen} alive=1 overlong={snap.overlong} evicted={snap.evicted}"
             )
             return text.encode("ascii")
 
@@ -344,6 +346,8 @@ class GuardServer:
             ``OUT_HIGH_WATER`` queued bytes and resume once a flush sent all."""
             nonlocal shutting_down, buf
             rbuf = conn.rbuf
+            if b"\n"[0] in rbuf:  # a complete line: evicted last (an int is the fast test)
+                conns[conn.sock] = conns.pop(conn.sock)
             while True:
                 start = 0
                 nl = rbuf.find(b"\n")
@@ -395,14 +399,16 @@ class GuardServer:
                         except OSError:
                             continue
                         if len(conns) >= MAX_CONNECTIONS:
-                            sock.close()
-                            continue
+                            close_conn(next(iter(conns.values())))
+                            bump(evicted=1)
                         sock.setblocking(False)
                         # every write is whole frames, so Nagle could only delay them
                         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                         conn = _Conn(sock)
                         conns[sock] = conn
                         sel.register(sock, selectors.EVENT_READ, conn)
+                    elif key.data.sock not in conns:
+                        continue  # evicted earlier in this batch of events
                     elif key.data.writing:
                         # chosen by interest, not by the reported events: a
                         # hang-up or error reads as both readable and writable

@@ -7,14 +7,15 @@ import pytest
 
 from capdomains import capmem
 from capdomains.capmem import (
+    PERM_LOAD,
     PERM_RW,
+    PERM_STORE,
     ArenaExhausted,
     BoundsViolation,
     Capability,
     FaultKind,
     FaultRecord,
     MemoryArena,
-    Permissions,
     PermissionViolation,
     TagViolation,
     round_representable_length,
@@ -28,8 +29,7 @@ def test_arena_create_root():
     assert root.top == 1024
     assert root.address == 0
     assert root.tag
-    assert root.perms.load and root.perms.store
-    assert not root.perms.execute
+    assert root.perms == PERM_RW
 
 
 def test_arena_zero_filled():
@@ -140,12 +140,25 @@ def test_load_only_cap_rejects_writes():
 
 
 def test_view_needs_load_and_store():
-    arena = MemoryArena(64)
-    for load, store in ((True, False), (False, True), (False, False)):
-        cap = arena.root.address_set(8).perms_and(load=load, store=store)
-        with pytest.raises(PermissionViolation) as ei:
-            cap.view(4, 16)
-        assert ei.value.record == FaultRecord(FaultKind.PERMISSION, 12, 16)
+    # each access against each permission mask: store needs the store bit,
+    # load the load bit, and view both
+    for perms in (0, PERM_LOAD, PERM_STORE, PERM_RW):
+        arena = MemoryArena(64)
+        cap = arena.root.address_set(8).perms_and(load=perms & PERM_LOAD, store=perms & PERM_STORE)
+        assert cap.perms == perms
+        for need, access in (
+            (PERM_STORE, lambda: cap.store(4, b"\x5a" * 16)),
+            (PERM_LOAD, lambda: cap.load(4, 16)),
+            (PERM_RW, lambda: cap.view(4, 16)),
+        ):
+            if perms & need == need:
+                access()  # granted: no fault
+                continue
+            before = arena.snapshot()
+            with pytest.raises(PermissionViolation) as ei:
+                access()
+            assert ei.value.record == FaultRecord(FaultKind.PERMISSION, 12, 16), (perms, need)
+            assert arena.snapshot() == before
 
 
 def test_view_writes_land_at_arena_offsets():
@@ -167,8 +180,7 @@ def test_perms_can_only_clear():
     ro = arena.root.perms_and(load=True, store=False)
     # masking with store=True cannot re-grant the dropped flag
     again = ro.perms_and(load=True, store=True)
-    assert not again.perms.store
-    assert again.perms.load
+    assert again.perms == PERM_LOAD
 
 
 def test_check_order_tag_beats_everything():
@@ -272,8 +284,7 @@ def test_monotonic_authority_chains():
                 continue
             assert cap.base >= parent.base
             assert cap.top <= parent.top
-            assert parent.perms.load or not cap.perms.load
-            assert parent.perms.store or not cap.perms.store
+            assert cap.perms & ~parent.perms == 0
 
 
 def test_exhaustive_inbounds_access_never_faults():
@@ -465,8 +476,8 @@ def test_capability_equality_and_repr():
     assert a == b
     assert a != arena.root
     assert "8" in repr(a)
-    # perms take part: equal flags in a fresh Permissions compare equal
-    assert a.perms_and() == a and a.perms_and().perms is not a.perms
+    # perms take part: the same bits, re-derived, compare equal
+    assert a.perms_and() == a
     assert a.perms_and(store=False) != a
     assert a.perms_and(load=False) != a.perms_and(store=False)
 
@@ -477,9 +488,8 @@ def test_fault_records_and_permissions_are_immutable_values():
     assert rec == same and hash(rec) == hash(same) and len({rec, same}) == 1
     assert rec != FaultRecord(FaultKind.BOUNDS, 12, 4, domain_udi=1)
     perms = MemoryArena(64).root.perms_and(store=False).perms
-    assert perms == Permissions(load=True, store=False)
-    assert hash(perms) == hash(Permissions(True, False)) and perms != PERM_RW
-    for obj, field in ((rec, "access_len"), (rec, "domain_udi"), (perms, "load"), (PERM_RW, "store")):
+    assert perms == PERM_LOAD and perms != PERM_RW
+    for field in ("access_len", "domain_udi"):
         with pytest.raises(AttributeError):
-            setattr(obj, field, False)
-    assert rec == same and perms.load and PERM_RW.store
+            setattr(rec, field, False)
+    assert rec == same

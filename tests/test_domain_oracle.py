@@ -141,15 +141,15 @@ class Model:
         for child in range(1, MAX_DOMAIN_ID + 1):
             if self.init[child] and self.parent[child] == u:
                 self.destroy(child)
+        if self.active == u:
+            self.active = self.parent[u]
         self.parent[u], self.heap[u] = 0, False
 
     def descends(self, u, ancestor):
-        seen = set()
         p = self.parent[u]
-        while p != 0 and p not in seen:
+        while p != 0:
             if p == ancestor:
                 return True
-            seen.add(p)
             p = self.parent[p]
         return False
 
@@ -190,7 +190,8 @@ class Model:
             return ("Aborted", uw.kind, uw.udi)
         finally:
             self.calls.pop()
-            self.active = entered_from
+            if self.init[entered_from]:
+                self.active = entered_from
 
     def run(self, actions, trace):
         for action in actions:

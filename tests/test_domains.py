@@ -304,9 +304,45 @@ def test_destroy_parent_takes_children_post_order():
     assert mgr.arena.reserved_bytes == 0
 
 
-def test_destroy_ends_on_a_cycle_of_parents():
-    # a slot set up while the active domain is a destroyed one is parented
-    # to the dead slot; setting that slot up again from its child closes a cycle
+def test_destroying_the_active_domain_moves_it_to_the_parent():
+    # a dalloc after the destroy must not build a heap on the dead slot
+    mgr = small_manager()
+    mgr.setup(1)
+    mgr.enter(1)
+    mgr.destroy(1)
+    assert mgr.active_domain == 0
+    mgr.dalloc(16)
+    assert mgr.heap_of(1) is None and mgr.heap_of(0) is not None
+    # an active descendant climbs to the parent of the topmost destroyed domain
+    for udi in (1, 2, 3):
+        mgr.setup(udi)
+        mgr.enter(udi)
+    mgr.destroy(2)
+    assert mgr.active_domain == 1
+    assert not mgr.is_initialized(2) and not mgr.is_initialized(3)
+
+
+def test_an_abort_does_not_return_to_a_destroyed_domain():
+    # domain 1 enters 2 by hand, then 3 (a child of 2), and calls into 2;
+    # the abort destroys 2 and 3, so the call cannot hand back 3
+    mgr = small_manager()
+
+    def overrun():
+        mgr.dalloc(16).store(0, b"!" * 32)
+
+    def routine():
+        for udi in (2, 3):
+            mgr.setup(udi)
+            mgr.enter(udi)
+        out = mgr.domain_call(2, overrun)
+        return out.fault.domain_udi, mgr.active_domain, mgr.is_initialized(3)
+
+    assert mgr.domain_call(1, routine) == Normal((2, 1, False))
+    assert mgr.active_domain == 0 and mgr.is_initialized(1)
+
+
+def test_a_slot_set_up_after_its_parent_died_builds_no_cycle():
+    # these calls once parented 2 to the destroyed slot 1 and then 1 to 2
     mgr = small_manager()
     mgr.setup(1)
     mgr.enter(1)
@@ -314,9 +350,10 @@ def test_destroy_ends_on_a_cycle_of_parents():
     mgr.setup(2)
     mgr.enter(2)
     mgr.setup(1)
-    assert (mgr.parent_of(1), mgr.parent_of(2)) == (2, 1)
-    mgr.destroy(1)
+    assert (mgr.parent_of(1), mgr.parent_of(2)) == (2, 0)
+    mgr.destroy(2)
     assert not mgr.is_initialized(1) and not mgr.is_initialized(2)
+    assert mgr.active_domain == 0
 
 
 def test_destroy_uninit_is_noop():

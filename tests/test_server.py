@@ -2,6 +2,7 @@
 
 import gc
 import random
+import select
 import socket
 import threading
 import time
@@ -566,7 +567,7 @@ def test_control_lines_in_a_batch_are_answered_in_order(mode):
     reserved = HEADER_BUF_LEN if mode == "baseline" else server_mod.HEAP_SIZE
     stats = (
         f"mode={mode} payload=128 served=2 rejected=0 bytes_out={len(ok) + len(err)} "
-        f"reserved={reserved} heap_generation={int(mode == 'domains')} alive=1 overlong=0"
+        f"reserved={reserved} heap_generation={int(mode == 'domains')} alive=1 overlong=0 evicted=0"
     ).encode("ascii")
     try:
         with connect(srv.port) as sock:
@@ -680,6 +681,57 @@ def test_overlong_line_drops_the_connection_and_is_counted():
         assert fields[b"overlong"] == b"1"
         assert fields[b"served"] == b"0" and fields[b"rejected"] == b"0"
     finally:
+        srv.stop()
+        srv.join()
+
+
+@pytest.mark.parametrize("mode", server_mod.MODES)
+def test_silent_clients_cannot_lock_out_a_newcomer(mode):
+    # a full table of connections that each hold an unfinished line
+    srv = start_server(mode)
+    silent = []
+    try:
+        for _ in range(server_mod.MAX_CONNECTIONS):
+            silent.append(connect(srv.port))
+            silent[-1].sendall(b"GET /par")
+        t0 = time.perf_counter()
+        with connect(srv.port) as sock:
+            assert roundtrip(sock, b"GET /x\n")[0] == b"OK"
+            assert time.perf_counter() - t0 < 1.0
+            assert stats_fields(sock)[b"evicted"] == b"1"
+        readable, _, _ = select.select(silent, [], [], 1.0)
+        assert [read_until_eof(s) for s in readable] == [b""], "one silent connection is evicted"
+        assert srv.alive
+    finally:
+        for sock in silent:
+            sock.close()
+        srv.stop()
+        srv.join()
+
+
+@pytest.mark.parametrize("mode", server_mod.MODES)
+def test_a_client_that_completed_a_line_last_is_not_evicted(mode):
+    srv = start_server(mode)
+    keep = connect(srv.port)
+    others = []
+    try:
+        assert roundtrip(keep, b"GET /k\n")[0] == b"OK"
+        for _ in range(server_mod.MAX_CONNECTIONS - 1):
+            others.append(connect(srv.port))
+            # the reply proves the worker holds it before keep's next line
+            assert roundtrip(others[-1], b"GET /s\n")[0] == b"OK"
+            others[-1].sendall(b"GET /par")
+        for _ in range(3):
+            assert roundtrip(keep, b"GET /k\n")[0] == b"OK"
+            others.append(connect(srv.port))  # a newcomer to a full table
+            assert roundtrip(others[-1], b"GET /n\n")[0] == b"OK"
+        assert roundtrip(keep, b"GET /k\n")[0] == b"OK"
+        assert stats_fields(keep)[b"evicted"] == b"3"
+        # the three that went longest without a complete line
+        assert [read_until_eof(s) for s in others[:3]] == [b""] * 3
+    finally:
+        for sock in [keep] + others:
+            sock.close()
         srv.stop()
         srv.join()
 
