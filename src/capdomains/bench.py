@@ -99,9 +99,9 @@ def _read_reply(reader) -> Optional[bytes]:
     return b""  # ERR line carries no body
 
 
-def request_stats(host: str, port: int, timeout: float = 5.0) -> Dict[str, str]:
+def request_stats(host: str, port: int) -> Dict[str, str]:
     """Ask a running server for its counters; raises OSError if unreachable."""
-    with socket.create_connection((host, port), timeout=timeout) as sock:
+    with socket.create_connection((host, port), timeout=5) as sock:
         reader = sock.makefile("rb")
         sock.sendall(b"STATS\n")
         body = _read_reply(reader)
@@ -183,47 +183,34 @@ def _append_rows(path: str, rows: Sequence[RunRow]) -> None:
             )
 
 
-def run_workload(cfg: BenchConfig) -> BenchResult:
-    """Drive one mode/payload cell for ``repetitions`` timed runs."""
-    info = request_stats(cfg.host, cfg.port)  # also: reachability check
-    mode = info["mode"]
-    if int(info["payload"]) != PAYLOAD_BYTES[cfg.payload]:
-        raise ValueError(
-            f"server serves {info['payload']}-byte payloads, "
-            f"config expects {cfg.payload}"
+def _timed_run(cfg: BenchConfig, mode: str, run: int, base_seed: int) -> Tuple[RunRow, bool]:
+    """One timed run of ``cfg.duration``: its row, and whether the server kept answering."""
+    outcomes = [_ClientOutcome() for _ in range(cfg.connections)]
+    stop_at = time.monotonic() + cfg.duration
+    t0 = time.monotonic()
+    threads = [
+        threading.Thread(
+            target=_client_loop,
+            args=(cfg, stop_at, base_seed * 1009 + run * 131 + i, outcomes[i]),
+            daemon=True,
         )
-    base_seed = cfg.seed if cfg.seed is not None else random.randrange(1 << 30)
+        for i in range(cfg.connections)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(cfg.duration + 30)
+    elapsed = time.monotonic() - t0
+    served = sum(o.served for o in outcomes)
+    rejected = sum(o.rejected for o in outcomes)
+    requests = served + rejected
+    alive = not any(o.server_died for o in outcomes)
+    if not alive:
+        log.warning("run %d ended early: server no longer answering", run)
+    return RunRow(mode, cfg.payload, run, requests, requests / elapsed, served, rejected), alive
 
-    rows: List[RunRow] = []
-    alive = True
-    for run in range(1, cfg.repetitions + 1):
-        outcomes = [_ClientOutcome() for _ in range(cfg.connections)]
-        stop_at = time.monotonic() + cfg.duration
-        t0 = time.monotonic()
-        threads = [
-            threading.Thread(
-                target=_client_loop,
-                args=(cfg, stop_at, base_seed * 1009 + run * 131 + i, outcomes[i]),
-                daemon=True,
-            )
-            for i in range(cfg.connections)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(cfg.duration + 30)
-        elapsed = time.monotonic() - t0
-        served = sum(o.served for o in outcomes)
-        rejected = sum(o.rejected for o in outcomes)
-        requests = served + rejected
-        rows.append(
-            RunRow(mode, cfg.payload, run, requests, requests / elapsed, served, rejected)
-        )
-        if any(o.server_died for o in outcomes):
-            alive = False
-            log.warning("run %d ended early: server no longer answering", run)
-            break
 
+def _result(cfg: BenchConfig, mode: str, rows: List[RunRow], alive: bool) -> BenchResult:
     if cfg.out_path:
         _append_rows(cfg.out_path, rows)
     rps = [r.rps for r in rows]
@@ -239,6 +226,25 @@ def run_workload(cfg: BenchConfig) -> BenchResult:
     )
 
 
+def run_workload(cfg: BenchConfig) -> BenchResult:
+    """Drive one mode/payload cell for ``repetitions`` timed runs."""
+    info = request_stats(cfg.host, cfg.port)  # also: reachability check
+    mode = info["mode"]
+    if int(info["payload"]) != PAYLOAD_BYTES[cfg.payload]:
+        raise ValueError(
+            f"server serves {info['payload']}-byte payloads, "
+            f"config expects {cfg.payload}"
+        )
+    base_seed = cfg.seed if cfg.seed is not None else random.randrange(1 << 30)
+    rows: List[RunRow] = []
+    for run in range(1, cfg.repetitions + 1):
+        row, alive = _timed_run(cfg, mode, run, base_seed)
+        rows.append(row)
+        if not alive:
+            break
+    return _result(cfg, mode, rows, alive)
+
+
 def compare_modes(results: Sequence[BenchResult]):
     """Relative throughput vs the baseline mode, per payload.
 
@@ -250,18 +256,12 @@ def compare_modes(results: Sequence[BenchResult]):
         by_payload.setdefault(res.payload, {})[res.mode] = res
     rows = []
     lines = [COMPARE_CSV_HEADER]
-    payloads = [p for p in PAYLOAD_BYTES if p in by_payload] + sorted(
-        p for p in by_payload if p not in PAYLOAD_BYTES
-    )
-    for payload in payloads:
+    for payload in (p for p in PAYLOAD_BYTES if p in by_payload):
         cell = by_payload[payload]
         if "baseline" not in cell:
             raise ValueError(f"payload {payload} has no baseline measurement")
         base = cell["baseline"].requests_per_second
-        modes = [m for m in MODES if m in cell] + sorted(
-            m for m in cell if m not in MODES
-        )
-        for m in modes:
+        for m in (m for m in MODES if m in cell):
             res = cell[m]
             overhead = 0.0 if base == 0 else (1.0 - res.requests_per_second / base) * 100.0
             rows.append(
@@ -294,31 +294,33 @@ def run_matrix(
         unknown = [x for x in given if x not in valid]
         if unknown:
             raise ValueError(f"unknown {name} {unknown}: choose from {', '.join(valid)}")
+    base_seed = seed if seed is not None else random.randrange(1 << 30)
     results = []
-    for mode in modes:
-        for payload in payloads:
-            srv = GuardServer(
-                ServerConfig(
-                    listen_port=0, mode=mode, payload_size=PAYLOAD_BYTES[payload]
-                )
-            )
-            srv.start()
-            try:
-                cfg = BenchConfig(
-                    port=srv.port,
-                    connections=connections,
-                    duration=duration,
-                    payload=payload,
-                    repetitions=repetitions,
-                    out_path=out_path,
-                    seed=seed,
-                )
-                results.append(run_workload(cfg))
-                log.info(
-                    "cell %s/%s: %.1f rps", mode, payload,
-                    results[-1].requests_per_second,
-                )
-            finally:
+    for payload in payloads:
+        # an idle worker sleeps in select, so a payload's servers run side by side
+        # and its reps rotate over the modes (ABC, BCA, CAB), for drift to hit all alike
+        servers = [
+            GuardServer(ServerConfig(listen_port=0, mode=m, payload_size=PAYLOAD_BYTES[payload]))
+            for m in modes
+        ]
+        try:
+            cfgs = []
+            for srv in servers:
+                srv.start()
+                cfgs.append(BenchConfig(port=srv.port, connections=connections, duration=duration,
+                                        payload=payload, repetitions=repetitions, out_path=out_path))
+            rows: List[List[RunRow]] = [[] for _ in modes]
+            alive = [True] * len(modes)
+            for run in range(1, repetitions + 1):
+                for i in [(run - 1 + k) % len(modes) for k in range(len(modes))]:
+                    if alive[i]:
+                        row, alive[i] = _timed_run(cfgs[i], modes[i], run, base_seed)
+                        rows[i].append(row)
+            for i, mode in enumerate(modes):
+                results.append(_result(cfgs[i], mode, rows[i], alive[i]))
+                log.info("cell %s/%s: %.1f rps", mode, payload, results[-1].requests_per_second)
+        finally:
+            for srv in servers:
                 srv.stop()
                 srv.join()
     return results
@@ -334,61 +336,51 @@ def attack(host: str, port: int, oversize: int = OVERSIZE_LEN) -> bool:
         return _read_reply(reader) is None
 
 
-def demo(payload: str = "1k", requests: int = 5, attack_at: int = 3, echo=None) -> dict:
-    """Five sequential requests with one oversized in the middle, twice.
+def demo(echo=None) -> dict:
+    """Five sequential requests on one connection, the third an oversized
+    line sent by an attacker on a connection of its own, twice.
 
-    The domains-mode pass finishes the whole trace with the bad request
-    rejected; the baseline pass loses its worker at the bad request.
-    Returns per-mode outcome dicts; ``echo`` (e.g. ``print``) gets a
-    running commentary.
+    The domains-mode pass drops only the attacker's connection and serves
+    the whole trace on the benign one; the baseline pass loses its worker
+    at the bad request.  Returns per-mode outcome dicts; ``echo`` (e.g.
+    ``print``) gets a running commentary.
     """
     say = echo or (lambda *_: None)
     outcome = {}
     for mode in ("domains", "baseline"):
         srv = GuardServer(
-            ServerConfig(listen_port=0, mode=mode, payload_size=PAYLOAD_BYTES[payload])
+            ServerConfig(listen_port=0, mode=mode, payload_size=PAYLOAD_BYTES["1k"])
         )
         srv.start()
         served = rejected = attempted = 0
         terminated_at = None
         say(f"--- {mode} mode on port {srv.port} ---")
         try:
-            sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
-            reader = sock.makefile("rb")
-            for i in range(1, requests + 1):
-                attempted = i
-                if i == attack_at:
-                    sock.sendall(b"#" * OVERSIZE_LEN + b"\n")
-                    if _read_reply(reader) is not None:
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+                reader = sock.makefile("rb")
+                for i in range(1, 6):
+                    attempted = i
+                    if i != 3:
+                        sock.sendall(b"GET /demo\n")
+                        if _read_reply(reader) is None:
+                            terminated_at = i
+                            say(f"request {i}: connection lost, server gone")
+                            break
+                        served += 1
+                        say(f"request {i}: served")
+                    elif not attack("127.0.0.1", srv.port):
                         say(f"request {i}: oversized line was answered?!")
-                        continue
-                    sock.close()
-                    # connect() can succeed into a dead server's listen backlog,
-                    # so prove aliveness with an uncounted control request
-                    try:
-                        sock = socket.create_connection(
-                            ("127.0.0.1", srv.port), timeout=2
-                        )
-                        reader = sock.makefile("rb")
-                        sock.sendall(b"STATS\n")
-                        probe = _read_reply(reader)
-                    except OSError:
-                        probe = None
-                    if probe is None:
-                        terminated_at = i
-                        say(f"request {i}: server terminated by the overflow")
-                        break
-                    rejected += 1
-                    say(f"request {i}: rejected, connection dropped, server alive")
-                else:
-                    sock.sendall(b"GET /demo\n")
-                    if _read_reply(reader) is None:
-                        terminated_at = i
-                        say(f"request {i}: connection lost, server gone")
-                        break
-                    served += 1
-                    say(f"request {i}: served")
-            sock.close()
+                    else:
+                        # connect() can succeed into a dead server's listen
+                        # backlog, so prove aliveness with a control request
+                        try:
+                            request_stats("127.0.0.1", srv.port)
+                        except OSError:
+                            terminated_at = i
+                            say(f"request {i}: server terminated by the overflow")
+                            break
+                        rejected += 1
+                        say(f"request {i}: rejected, connection dropped, server alive")
         except OSError:
             terminated_at = terminated_at or attempted
         finally:

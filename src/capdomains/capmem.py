@@ -252,8 +252,8 @@ class MemoryArena:
     def reserve(self, length):
         """First-fit reservation at a 16-aligned base.  Regions never overlap.
         Returns the region root: a read-write capability spanning just it."""
-        if length <= 0:
-            raise ValueError("region length must be positive")
+        if not isinstance(length, int) or length <= 0:
+            raise ValueError("region length must be a positive int, got %r" % (length,))
         candidate = 0
         for r in self._regions:
             if candidate + length <= r.base:

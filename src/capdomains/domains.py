@@ -335,6 +335,8 @@ class DomainManager:
         self._active_heap().free(cap)
 
     def dcalloc(self, count: int, size: int) -> Capability:
+        if count < 0 or size < 0:  # a negative factor can still give a valid product
+            raise ValueError("dcalloc count and size must be >= 0, got %r, %r" % (count, size))
         cap = self.dalloc(count * size)
         cap.store(0, bytes(cap.top - cap.base))
         return cap

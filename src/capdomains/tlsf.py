@@ -168,8 +168,8 @@ class TlsfControl:
             self._after_op()
 
     def _validate_pool(self, region, size, minimum):
-        if size % ALIGN or region.address % ALIGN:
-            raise ValueError("pool base and size must be 16-byte aligned")
+        if not isinstance(size, int) or size % ALIGN or region.address % ALIGN:
+            raise ValueError("pool base and size must be 16-byte aligned ints")
         if size < minimum:
             raise ValueError("pool of %d bytes is below the %d-byte minimum" % (size, minimum))
         if size > self.max_pool_size:
@@ -341,6 +341,8 @@ class TlsfControl:
     # ------------------------------------------------------------ malloc/free
 
     def malloc(self, size):
+        if not isinstance(size, int) or size < 0:
+            raise ValueError("allocation size must be a non-negative int, got %r" % (size,))
         with self._lock:
             self._ensure_alive()
             rounded = round_representable_length(size)

@@ -60,7 +60,7 @@ def check(num, name, budget=None):
 
 @check(1, "resilience demo", budget=5.0)
 def test_criterion_01_resilience_demo():
-    outcome = demo(payload="1k")
+    outcome = demo()
     dom, base = outcome["domains"], outcome["baseline"]
     assert dom["attempted"] == 5, "protected run must attempt all five requests"
     assert dom["served"] == 4 and dom["rejected"] == 1

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from capdomains import bench
 from capdomains.bench import (
     BenchConfig,
     BenchResult,
@@ -164,8 +165,17 @@ def test_attack_helper():
         srv.join()
 
 
-def test_demo_contrast():
-    outcome = demo(payload="1k")
+def test_demo_contrast(monkeypatch):
+    real_read_reply = bench._read_reply
+    replies = []  # (reader, body) of every reply the demo reads
+
+    def recording_read_reply(reader):
+        body = real_read_reply(reader)
+        replies.append((reader, body))
+        return body
+
+    monkeypatch.setattr(bench, "_read_reply", recording_read_reply)
+    outcome = demo()
     dom, base = outcome["domains"], outcome["baseline"]
     assert dom["attempted"] == 5
     assert dom["served"] == 4
@@ -174,3 +184,9 @@ def test_demo_contrast():
     assert base["served"] == 2
     assert base["terminated_at"] == 3
     assert not base["alive"]
+    # the benign replies carry the 1k payload; the domains pass runs first,
+    # and its four arrive on one connection: only the attacker's was dropped
+    benign = [reader for reader, body in replies if body is not None and len(body) == 1024]
+    assert len(benign) == 4 + 2
+    assert all(reader is benign[0] for reader in benign[:4])
+    assert benign[4] is not benign[0]

@@ -16,7 +16,7 @@ from capdomains.domains import (
     Normal,
     StatusCode,
 )
-from capdomains.tlsf import DoubleFree, InvalidFree
+from capdomains.tlsf import DoubleFree, InvalidFree, tlsf_create_with_pool
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -657,3 +657,41 @@ def test_heap_generation_bumps_per_init():
     assert mgr.heap_generation(1) == 0  # slot reset
     mgr.domain_call(1, lambda: mgr.dalloc(16))
     assert mgr.heap_generation(1) > g1, "generations never repeat"
+
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda mgr, heap, spare: mgr.arena.reserve(1.5), id="reserve(1.5)"),
+        pytest.param(lambda mgr, heap, spare: mgr.arena.reserve(-5), id="reserve(-5)"),
+        pytest.param(lambda mgr, heap, spare: heap.malloc(-5), id="malloc(-5)"),
+        pytest.param(lambda mgr, heap, spare: heap.malloc(1.5), id="malloc(1.5)"),
+        pytest.param(lambda mgr, heap, spare: mgr.dalloc(-5), id="dalloc(-5)"),
+        pytest.param(lambda mgr, heap, spare: mgr.dcalloc(-2, -8), id="dcalloc(-2,-8)"),
+        pytest.param(lambda mgr, heap, spare: heap.add_pool(spare, float(64 * KIB)),
+                     id="add_pool(65536.0)"),
+        pytest.param(lambda mgr, heap, spare: tlsf_create_with_pool(spare, float(64 * KIB)),
+                     id="create_with_pool(65536.0)"),
+    ],
+)
+def test_a_size_that_is_not_a_non_negative_int_is_refused_before_any_state_changes(call):
+    mgr = small_manager()
+    mgr.setup(1)
+    mgr.enter(1)
+    mgr.dalloc(16)  # the domain's heap exists before the refused call
+    heap = mgr.heap_of(1)
+    spare = mgr.arena.reserve(64 * KIB)
+
+    def state():
+        s = heap.stats
+        return mgr.arena.reserved_bytes, s.bytes_allocated, s.bytes_reserved, s.live_allocations
+
+    before = state()
+    with pytest.raises(ValueError):
+        call(mgr, heap, spare)
+    assert state() == before
+    heap.check()
+    mgr.arena.release(mgr.arena.reserve(64))
+    heap.free(heap.malloc(64))
+    assert state() == before
