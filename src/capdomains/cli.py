@@ -60,15 +60,13 @@ def _cmd_serve(args) -> int:
         host=args.host,
     )
     srv = GuardServer(cfg)
-    srv.start()
-    print(f"listening on {args.host}:{srv.port} mode={args.mode} "
-          f"payload={args.payload}", flush=True)
-    try:
-        while srv.alive:
-            srv.join(timeout=0.5)
+    srv.listen()
+    try:  # from the banner on, Ctrl-C is a clean exit
+        print(f"listening on {args.host}:{srv.port} mode={args.mode} "
+              f"payload={args.payload}", flush=True)
+        srv.serve()  # the worker runs on this thread
     except KeyboardInterrupt:
-        srv.stop()
-        srv.join()
+        pass  # serve closed every socket on the way out
     if srv.fatal is not None:
         print(f"worker terminated by {type(srv.fatal).__name__}: {srv.fatal}",
               file=sys.stderr)

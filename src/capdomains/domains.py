@@ -26,7 +26,7 @@ import os
 from typing import Any, Callable, Optional, Union
 
 from .capmem import Capability, FaultRecord, MemoryArena, ProtectionFault, ArenaExhausted
-from .tlsf import TlsfControl, DEFAULT_MAX_POOL_SIZE, tlsf_create_with_pool
+from .tlsf import TlsfControl, DEFAULT_MAX_POOL_SIZE, check_alloc_size, tlsf_create_with_pool
 
 from enum import IntEnum
 
@@ -321,7 +321,9 @@ class DomainManager:
         return slot.heap
 
     def dalloc(self, size: int) -> Capability:
-        """Allocate from the active domain's heap, creating it on first use."""
+        """Allocate from the active domain's heap, creating it on first use.
+        A size the heap would refuse is refused before any heap is built."""
+        check_alloc_size(size)
         return self._active_heap().malloc(size)
 
     def dfree(self, cap: Optional[Capability]) -> None:

@@ -15,8 +15,10 @@ instead of corrupting neighbours.  What happens next depends on the mode:
                   the offending connection, and the others keep being served.
 
 The modes differ only in where the buffer comes from and whether the parse
-is contained; the worker picks both once and then runs one path.  The
-worker is single-threaded and a line stays in the buffer only while it is
+is contained; the worker picks both once and then runs one path.
+``GuardServer.listen`` builds that state, ``serve`` runs the worker in the
+calling thread and ``start`` does both, the worker on a thread of its own.
+The worker is single-threaded and a line stays in the buffer only while it is
 parsed, so one buffer serves every connection.  In domains mode an abort
 discards the parse heap and that buffer with it; the worker takes a fresh
 one from a new heap at once, so it always holds a live buffer and ``STATS``
@@ -160,13 +162,13 @@ def _payload_body(size: int) -> bytes:
 
 
 class GuardServer:
-    """One listener plus one worker thread that owns all per-mode state.
+    """One listener plus one worker that owns all per-mode state.
 
-    :meth:`start` builds the arena, allocator, and (in domains mode) the
-    domain manager and hands them to the worker; nothing else touches them
-    after that.  :meth:`stop` wakes the worker, which closes every socket of
-    the server on its way out.  Tests and the benchmark talk to the server
-    over its socket or through :meth:`stats_snapshot`.
+    :meth:`listen` builds the arena, allocator, and (in domains mode) the
+    domain manager and binds the listener; :meth:`serve` hands them to the
+    worker in the calling thread, and nothing else touches them after that.
+    :meth:`start` does both, the worker on a daemon thread.  :meth:`stop`
+    wakes the worker, which closes every socket of the server on its way out.
     """
 
     def __init__(self, config: ServerConfig):
@@ -176,6 +178,7 @@ class GuardServer:
         self._stats = ConnectionStats()
         self._stats_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
+        self._state = None  # what the worker is handed: built by listen, used by serve
         self._listener: Optional[socket.socket] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
@@ -183,13 +186,13 @@ class GuardServer:
 
     # ------------------------------------------------------------ lifecycle
 
-    def start(self) -> None:
-        """Build the per-mode state, then listen and start the worker.  In
-        domains mode, an ``APP_HEAP_SIZE`` that leaves no heap able to hold a
-        request buffer raises ValueError first."""
-        if self._thread is not None:
+    def listen(self) -> None:
+        """Build the per-mode state, then bind the listener; a second call
+        refuses.  In domains mode, an ``APP_HEAP_SIZE`` that leaves no heap
+        able to hold a request buffer raises ValueError first."""
+        if self._listener is not None:
             raise RuntimeError("server already started")
-        state = self._mode_state()
+        self._state = self._mode_state()
         self._listener = socket.create_server(
             (self.config.host, self.config.listen_port),
             backlog=MAX_CONNECTIONS,
@@ -197,13 +200,21 @@ class GuardServer:
         self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
         self._wake_r, self._wake_w = socket.socketpair()
+
+    def serve(self) -> None:
+        """Run the worker in this thread until SHUTDOWN, stop() or a fatal fault."""
+        self._worker(*self._state)
+
+    def start(self) -> None:
+        """:meth:`listen`, then :meth:`serve` on a daemon thread."""
+        self.listen()
         self._thread = threading.Thread(
-            target=self._worker, args=state, name=f"guard-{self.config.mode}", daemon=True
+            target=self.serve, name=f"guard-{self.config.mode}", daemon=True
         )
         self._thread.start()
 
     def stop(self) -> None:
-        """Wake the worker to exit; a no-op before start and after the exit."""
+        """Wake the worker to exit; a no-op before listen and after the exit."""
         if self._wake_w is not None:
             try:
                 self._wake_w.send(b"\x00")

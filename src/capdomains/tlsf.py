@@ -117,6 +117,12 @@ def _lsb(x):
     return (x & -x).bit_length() - 1
 
 
+def check_alloc_size(size):
+    """Refuse, before any state changes, a size that is not a non-negative int."""
+    if not isinstance(size, int) or size < 0:
+        raise ValueError("allocation size must be a non-negative int, got %r" % (size,))
+
+
 class TlsfControl:
     """Allocator state over one or more pools, used through add_pool,
     malloc, free, payload_size, destroy, check, pools and stats.  These are
@@ -141,7 +147,7 @@ class TlsfControl:
         # capability over it addressed at 0, so a field is at its arena offset
         self._bases = []
         self._caps = []
-        self._heads = [[NIL] * SL_COUNT for _ in range(FL_COUNT)]
+        self._heads = [NIL] * (FL_COUNT * SL_COUNT)  # class (fl, sl) at fl * SL_COUNT + sl
         # header offset -> payload length handed out, of each live allocation;
         # a block that absorbed a remainder too small to split records more
         self._live_headers = {}
@@ -239,11 +245,12 @@ class TlsfControl:
     def _insert(self, h, off, size):
         # h is the view of off's header; off goes to the head of its list
         fl, sl = mapping_insert(size)
-        head = self._heads[fl][sl]
+        i = fl * SL_COUNT + sl
+        head = self._heads[i]
         _PAIR.pack_into(h, _NEXT_OFF, head + 1, NIL + 1)
         if head != NIL:
             self._set_link(head, _PREV_LINK_OFF, off)
-        self._heads[fl][sl] = off
+        self._heads[i] = off
         self._fl_bitmap |= 1 << fl
         self._sl_bitmaps[fl] |= 1 << sl
         if self.debug:
@@ -252,13 +259,14 @@ class TlsfControl:
     def _unlink(self, size, next_off, prev_off):
         # a free block of `size` with these links leaves its list
         fl, sl = mapping_insert(size)
+        i = fl * SL_COUNT + sl
         if prev_off == NIL:
-            self._heads[fl][sl] = next_off
+            self._heads[i] = next_off
         else:
             self._set_link(prev_off, _NEXT_OFF, next_off)
         if next_off != NIL:
             self._set_link(next_off, _PREV_LINK_OFF, prev_off)
-        if self._heads[fl][sl] == NIL:
+        if self._heads[i] == NIL:
             self._sl_bitmaps[fl] &= ~(1 << sl)
             if not self._sl_bitmaps[fl]:
                 self._fl_bitmap &= ~(1 << fl)
@@ -272,12 +280,12 @@ class TlsfControl:
         if fl < FL_COUNT:
             mask = self._sl_bitmaps[fl] & ~((1 << sl) - 1)
             if mask:
-                return self._heads[fl][_lsb(mask)]
+                return self._heads[fl * SL_COUNT + _lsb(mask)]
         fl_mask = self._fl_bitmap & ~((1 << (fl + 1)) - 1)
         if not fl_mask:
             return NIL
         fl2 = _lsb(fl_mask)
-        return self._heads[fl2][_lsb(self._sl_bitmaps[fl2])]
+        return self._heads[fl2 * SL_COUNT + _lsb(self._sl_bitmaps[fl2])]
 
     # ------------------------------------------------------------ split/merge
 
@@ -341,8 +349,7 @@ class TlsfControl:
     # ------------------------------------------------------------ malloc/free
 
     def malloc(self, size):
-        if not isinstance(size, int) or size < 0:
-            raise ValueError("allocation size must be a non-negative int, got %r" % (size,))
+        check_alloc_size(size)
         with self._lock:
             self._ensure_alive()
             rounded = round_representable_length(size)
@@ -386,7 +393,7 @@ class TlsfControl:
             return
         self._op_count += 1
         for fl, sl in self._touched:
-            head = self._heads[fl][sl]
+            head = self._heads[fl * SL_COUNT + sl]
             bit = bool(self._sl_bitmaps[fl] >> sl & 1)
             assert bit == (head != NIL), "bitmap desync at (%d, %d)" % (fl, sl)
             if head != NIL:
@@ -431,7 +438,7 @@ class TlsfControl:
         listed = {}
         for fl in range(FL_COUNT):
             for sl in range(SL_COUNT):
-                head = self._heads[fl][sl]
+                head = self._heads[fl * SL_COUNT + sl]
                 bit = bool(self._sl_bitmaps[fl] >> sl & 1)
                 assert bit == (head != NIL)
                 off = head

@@ -1,6 +1,10 @@
 """CLI surface: argument wiring and end-to-end subcommand smoke runs."""
 
+import contextlib
 import os
+import re
+import selectors
+import signal
 import socket
 import subprocess
 import sys
@@ -58,6 +62,88 @@ def test_serve_loads_only_the_serving_modules():
         "capdomains.server", "capdomains.tlsf",
     ]
     assert out[1].split() == [], "serve loaded the harness or its imports"
+
+
+def _default_sigint():
+    # a runner started as a background job hands its children SIGINT ignored,
+    # and Python then installs no KeyboardInterrupt handler
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+@contextlib.contextmanager
+def serve_process():
+    """A fresh ``capdomains serve`` process and its port, once it is listening."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "capdomains.cli", "serve", "--port", "0"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=_default_sigint,
+    )
+    try:
+        with selectors.DefaultSelector() as sel:
+            sel.register(proc.stdout, selectors.EVENT_READ)
+            banner = proc.stdout.readline() if sel.select(60) else b""
+        found = re.search(rb"^listening on [^ ]+:(\d+) ", banner)
+        assert found, f"no banner: {banner!r}"
+        yield proc, int(found.group(1))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_serve_runs_its_worker_on_the_main_thread():
+    with serve_process() as (proc, port):
+        with open(f"/proc/{proc.pid}/status") as fh:
+            threads = [line.split()[1] for line in fh if line.startswith("Threads:")]
+        assert threads == ["1"]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"SHUTDOWN\n")
+            with sock.makefile("rb") as reply:
+                assert reply.read() == b"OK 3\nbye"
+        assert proc.wait(timeout=10) == 0
+
+
+def test_serve_exits_cleanly_on_sigint():
+    with serve_process() as (proc, port):
+        proc.send_signal(signal.SIGINT)
+        _out, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0
+        assert err == b""
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+
+def test_a_second_listen_or_start_is_refused_and_binds_nothing(monkeypatch):
+    running = GuardServer(ServerConfig(listen_port=0, mode="domains", payload_size=0))
+    running.start()
+    listening = GuardServer(ServerConfig(listen_port=0, mode="baseline", payload_size=0))
+    listening.listen()
+    try:
+        def never(*args, **kwargs):
+            raise AssertionError("a refused call built or bound something")
+
+        with monkeypatch.context() as patch:
+            for name in ("create_server", "socketpair"):
+                patch.setattr(socket, name, never)
+            patch.setattr(GuardServer, "_mode_state", never)
+            for srv in (running, listening):
+                port = srv.port
+                for again in (srv.listen, srv.start):
+                    with pytest.raises(RuntimeError, match="already started"):
+                        again()
+                assert srv.port == port
+        assert running.alive and not listening.alive
+        with socket.create_connection(("127.0.0.1", running.port), timeout=5) as sock:
+            sock.sendall(b"GET /still-served\n")
+            with sock.makefile("rb") as reply:
+                assert reply.readline() == b"OK 0\n"
+    finally:
+        running.stop()
+        running.join()
+        listening.stop()
+        listening.serve()  # wakes at once and closes its sockets
 
 
 def test_serve_until_shutdown_request():

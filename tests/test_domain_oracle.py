@@ -3,12 +3,13 @@
 A pure model of the 16-slot table runs the same seeded random programs as a
 real :class:`DomainManager`: nested ``domain_call``s up to depth 4, manual
 ``setup``/``enter``/``exit`` inside routines, allocations, faults at random
-depths and non-protection exceptions.  The model decides which call takes a
-fault from the stack of calls in progress at the fault, not call by call as
-``domain_call`` does.  After every top-level step the two must agree on the
-outcome and any escaping exception, on what each routine observed, on every
-slot (initialized, parent, heap), on the active domain and on the arena's
-reserved bytes; heap generations must never repeat.
+depths and non-protection exceptions, a refused allocation size among them.
+The model decides which call takes a fault from the stack of calls in
+progress at the fault, not call by call as ``domain_call`` does.  After
+every top-level step the two must agree on the outcome and any escaping
+exception, on what each routine observed, on every slot (initialized,
+parent, heap), on the active domain and on the arena's reserved bytes;
+heap generations must never repeat.
 """
 
 import functools
@@ -24,6 +25,7 @@ UDIS = (1, 2, 3, 4, 5)  # few, so programs re-enter, re-parent and nest the same
 MAX_DEPTH = 4
 STEPS = 600
 FAULT_NAMES = {"bounds": "BoundsViolation", "tag": "TagViolation"}
+REFUSED_SIZES = (-5, 1.5)  # dalloc raises ValueError for these, and builds no heap
 
 
 class Boom(Exception):
@@ -33,7 +35,8 @@ class Boom(Exception):
 # ------------------------------------------------------------------ programs
 #
 # A routine is a tuple of actions:
-#   ("setup", u)  ("enter", u)  ("exit",)  ("heap_init",)  ("alloc", n)
+#   ("setup", u)  ("enter", u)  ("exit",)  ("heap_init",)
+#   ("alloc", n)         a dalloc of n bytes, now and then a size it refuses
 #   ("fault", "bounds")  an overrun of a fresh 16-byte dalloc
 #   ("fault", "tag")     a load through an untagged capability
 #   ("raise",)           raises Boom
@@ -42,6 +45,10 @@ class Boom(Exception):
 # ("call", u, routine) only while main is active, so that the outermost call
 # is always entered from main.  Each action that completes appends
 # ``(op, result, active domain)`` to the step's trace.
+
+
+def gen_size(rng, sizes):
+    return rng.choice(REFUSED_SIZES) if rng.random() < 0.1 else rng.choice(sizes)
 
 
 def gen_routine(rng, depth):
@@ -57,7 +64,7 @@ def gen_routine(rng, depth):
         elif r < 0.7:
             actions.append(("exit",))
         elif r < 0.78:
-            actions.append(("alloc", rng.choice((16, 64, 200))))
+            actions.append(("alloc", gen_size(rng, (16, 64, 200))))
         elif r < 0.82:
             actions.append(("heap_init",))
         elif r < 0.95:
@@ -81,7 +88,7 @@ def gen_step(rng, active):
     if r < 0.82:
         return ("destroy", rng.choice(UDIS) if rng.random() < 0.95 else 0)
     if r < 0.88:
-        return ("alloc", 64)
+        return ("alloc", gen_size(rng, (64,)))
     if r < 0.92:
         return ("heap_init",)
     return ("fault", rng.choice(("bounds", "tag")))
@@ -208,6 +215,8 @@ class Model:
             return (op, self.exit())
         if op == "destroy":
             return (op, self.destroy(action[1]))
+        if op == "alloc" and action[1] in REFUSED_SIZES:
+            raise _Escape("ValueError", 0)  # like Boom, it passes every call untouched
         if op in ("alloc", "heap_init"):
             self.heap[self.active] = True
             return (op, None)

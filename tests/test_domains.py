@@ -695,3 +695,27 @@ def test_a_size_that_is_not_a_non_negative_int_is_refused_before_any_state_chang
     mgr.arena.release(mgr.arena.reserve(64))
     heap.free(heap.malloc(64))
     assert state() == before
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda mgr: mgr.dalloc(-5), id="dalloc(-5)"),
+        pytest.param(lambda mgr: mgr.dalloc(1.5), id="dalloc(1.5)"),
+        pytest.param(lambda mgr: mgr.dcalloc(-2, 8), id="dcalloc(-2,8)"),
+        pytest.param(lambda mgr: mgr.drealloc(None, -1), id="drealloc(None,-1)"),
+    ],
+)
+def test_a_refused_size_builds_no_heap(call):
+    # the domain has no heap yet, and a refused allocation must not build one
+    mgr = small_manager()
+    mgr.setup(1)
+    mgr.enter(1)
+    with pytest.raises(ValueError):
+        call(mgr)
+    assert mgr.heap_of(1) is None
+    assert mgr.arena.reserved_bytes == 0
+    assert mgr.heap_generation(1) == 0
+    cap = mgr.dalloc(64)
+    assert cap.top - cap.base == 64
+    assert mgr.heap_generation(1) == 1
