@@ -1,10 +1,12 @@
 """Command line front end: serve, bench, attack, demo, compare."""
 
 import argparse
-import logging
 import sys
 from typing import List, Optional
 
+from . import server
+from .capmem import ProtectionFault
+from .domains import MainDomainFault
 from .server import OVERSIZE_LEN, PAYLOAD_BYTES, MODES, GuardServer, ServerConfig
 
 
@@ -68,6 +70,9 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass  # serve closed every socket on the way out
     if srv.fatal is not None:
+        if server.log is None and not isinstance(srv.fatal, (ProtectionFault, MainDomainFault)):
+            import traceback  # logging prints it under -v
+            traceback.print_exception(srv.fatal)
         print(f"worker terminated by {type(srv.fatal).__name__}: {srv.fatal}",
               file=sys.stderr)
         return 1
@@ -131,10 +136,13 @@ def _cmd_compare(args, bench_mod) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
+    if args.verbose or args.command != "serve":  # a plain server never loads logging
+        import logging
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(asctime)s %(name)s %(levelname)s %(message)s",
+        )
+        server.log = logging.getLogger(server.__name__)
     harness_commands = {
         "bench": _cmd_bench,
         "attack": _cmd_attack,

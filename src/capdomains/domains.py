@@ -57,7 +57,7 @@ class MainDomainFault(Exception):
     """A protection fault reached the main domain; there is nothing to rewind."""
 
     def __init__(self, record: FaultRecord):
-        super().__init__(f"unrecoverable fault in main domain: {record}")
+        super().__init__(f"unrecoverable fault reached the main domain: {record}")
         self.record = record
 
 
@@ -123,9 +123,9 @@ class _Slot:
 class DomainManager:
     """Owner of the domain table, the shared arena, and all per-domain heaps.
 
-    One manager per worker thread; the manager itself is not thread safe
-    (each heap's allocator takes its own lock, but the domain table does
-    not).  All allocation goes through the ``dalloc``/``dfree`` facade,
+    One manager per worker thread: neither it nor the allocator control of
+    any of its heaps takes a lock, since each belongs to that one thread.
+    All allocation goes through the ``dalloc``/``dfree`` facade,
     which routes to the heap of whichever domain is active.
     """
 

@@ -22,7 +22,8 @@ The worker is single-threaded and a line stays in the buffer only while it is
 parsed, so one buffer serves every connection.  In domains mode an abort
 discards the parse heap and that buffer with it; the worker takes a fresh
 one from a new heap at once, so it always holds a live buffer and ``STATS``
-only reads counters.
+only reads counters.  A fault in taking it ends the worker with its record in a
+``MainDomainFault``, not a retry, which would re-run the steps that just faulted.
 
 Wire protocol, one line per request, keep-alive:
 
@@ -51,7 +52,6 @@ Besides ``SHUTDOWN``, one signal stops the worker: a byte on its wake-up socket.
 """
 
 import functools
-import logging
 import selectors
 import socket
 import threading
@@ -61,7 +61,7 @@ from .capmem import Capability, MemoryArena, ProtectionFault
 from .domains import HEAP_SIZE_ENV, Aborted, DomainManager, HeapInitError, MainDomainFault
 from .tlsf import AllocationError, tlsf_create_with_pool
 
-log = logging.getLogger(__name__)
+log = None  # the worker's logging.Logger, set by a caller that loads logging
 
 MODES = ("baseline", "tlsf", "domains")
 PAYLOAD_BYTES = {"0k": 0, "1k": 1024, "4k": 4096, "16k": 16384}
@@ -249,12 +249,15 @@ class GuardServer:
                 return manager.domain_call(PARSE_DOMAIN_UDI, functools.partial(job, *args))
 
             try:
-                buf = contain(manager.dalloc, HEADER_BUF_LEN).value
-            except (AllocationError, HeapInitError) as exc:
+                outcome = contain(manager.dalloc, HEADER_BUF_LEN)
+                if isinstance(outcome, Aborted):
+                    raise MainDomainFault(outcome.fault)
+            except (AllocationError, HeapInitError, MainDomainFault) as exc:
                 raise ValueError(
                     f"domains mode cannot serve a {HEADER_BUF_LEN}-byte request buffer "
                     f"from the heap that {HEAP_SIZE_ENV} sets: {exc}"
                 ) from exc
+            buf = outcome.value
         else:
             arena = MemoryArena(ARENA_SIZE)
             if self.config.mode == "tlsf":
@@ -372,11 +375,15 @@ class GuardServer:
                             bump(served=rbuf.count(b"\n", start, done), out=len(conn.out) - queued)
                             start = done
                         if isinstance(outcome, Aborted):
-                            log.info("connection dropped after contained fault: %s", outcome.fault)
+                            if log is not None:
+                                log.info("connection dropped after contained fault: %s", outcome.fault)
                             bump(rejected=1)
                             close_conn(conn)
                             # the discarded parse heap took the buffer with it
-                            buf = contain(manager.dalloc, HEADER_BUF_LEN).value
+                            outcome = contain(manager.dalloc, HEADER_BUF_LEN)
+                            if isinstance(outcome, Aborted):  # no buffer, no serving
+                                raise MainDomainFault(outcome.fault)
+                            buf = outcome.value
                             return
                     elif rbuf.startswith(b"STATS\n", start):
                         body = stats_body()
@@ -389,7 +396,8 @@ class GuardServer:
                     nl = rbuf.find(b"\n", start)
                 del rbuf[:start]
                 if nl < 0 and len(rbuf) > MAX_LINE:
-                    log.info("connection dropped: %d bytes without a newline", len(rbuf))
+                    if log is not None:
+                        log.info("connection dropped: %d bytes without a newline", len(rbuf))
                     bump(overlong=1)
                     close_conn(conn)
                     return
@@ -438,20 +446,21 @@ class GuardServer:
                         else:
                             close_conn(conn)
         except (ProtectionFault, MainDomainFault) as exc:
-            # the unguarded contrast case: the worker context dies here
+            # the unguarded contrast case, or a fault in the re-arm: the worker dies here
             self.fatal = exc
-            log.warning("worker terminated by protection fault: %s", exc)
+            if log is not None:
+                log.warning("worker terminated by protection fault: %s", exc)
         except Exception as exc:
             # anything else (a parser that raises something other than a
             # ParseError, say) is a cause to report too
             self.fatal = exc
-            log.exception("worker terminated by %s", type(exc).__name__)
+            if log is not None:
+                log.exception("worker terminated by %s", type(exc).__name__)
         finally:
-            snap = self.stats_snapshot()
-            log.info(
-                "worker exiting: served=%d rejected=%d bytes_out=%d",
-                snap.served, snap.rejected_malicious, snap.bytes_out,
-            )
+            if log is not None:
+                snap = self.stats_snapshot()
+                log.info("worker exiting: served=%d rejected=%d bytes_out=%d",
+                         snap.served, snap.rejected_malicious, snap.bytes_out)
             for conn in list(conns.values()):
                 close_conn(conn)
             sel.close()

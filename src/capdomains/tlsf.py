@@ -28,7 +28,6 @@ a 32-byte sentinel (prev_phys + size fields only) whose size is zero.
 """
 
 import struct
-import threading
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -125,8 +124,8 @@ def check_alloc_size(size):
 
 class TlsfControl:
     """Allocator state over one or more pools, used through add_pool,
-    malloc, free, payload_size, destroy, check, pools and stats.  These are
-    serialized by an internal lock; distinct controls are independent.
+    malloc, free, payload_size, destroy, check, pools and stats.  A control
+    belongs to one thread and takes no lock; distinct controls are independent.
     free and payload_size refuse any capability that does not span exactly
     a live allocation, as a host-side record of header offsets and payload
     lengths holds them, and fault on one whose tag is cleared.
@@ -153,7 +152,6 @@ class TlsfControl:
         self._live_headers = {}
         self._fl_bitmap = 0
         self._sl_bitmaps = [0] * FL_COUNT
-        self._lock = threading.Lock()
         self._dead = False
         self._op_count = 0
         self._touched = set()
@@ -167,11 +165,10 @@ class TlsfControl:
     # ------------------------------------------------------------ pools
 
     def add_pool(self, region, size):
-        with self._lock:
-            self._ensure_alive()
-            self._validate_pool(region, size, minimum=POOL_OVERHEAD + MIN_BLOCK)
-            self._init_pool(region, size, has_control=False)
-            self._after_op()
+        self._ensure_alive()
+        self._validate_pool(region, size, minimum=POOL_OVERHEAD + MIN_BLOCK)
+        self._init_pool(region, size, has_control=False)
+        self._after_op()
 
     def _validate_pool(self, region, size, minimum):
         if not isinstance(size, int) or size % ALIGN or region.address % ALIGN:
@@ -350,37 +347,33 @@ class TlsfControl:
 
     def malloc(self, size):
         check_alloc_size(size)
-        with self._lock:
-            self._ensure_alive()
-            rounded = round_representable_length(size)
-            off = self._find(rounded)
-            if off == NIL:
-                raise OutOfMemory("no free block for %d bytes" % rounded)
-            cap = self._cap(off)
-            self._split(cap, off, rounded)
-            payload = cap.address_set(off + HEADER_SIZE).bounds_set(rounded)
-            self._after_op()
-            return payload
+        self._ensure_alive()
+        rounded = round_representable_length(size)
+        off = self._find(rounded)
+        if off == NIL:
+            raise OutOfMemory("no free block for %d bytes" % rounded)
+        cap = self._cap(off)
+        self._split(cap, off, rounded)
+        payload = cap.address_set(off + HEADER_SIZE).bounds_set(rounded)
+        self._after_op()
+        return payload
 
     def free(self, cap):
-        with self._lock:
-            self._ensure_alive()
-            self._merge(*self._live(cap))
-            self._after_op()
+        self._ensure_alive()
+        self._merge(*self._live(cap))
+        self._after_op()
 
     def payload_size(self, cap):
         """Rounded size recorded in the header of a live allocation.  Like
         :meth:`free`, refuses any capability that does not span exactly one."""
-        with self._lock:
-            self._ensure_alive()
-            return self._live(cap)[3] & ~0xF
+        self._ensure_alive()
+        return self._live(cap)[3] & ~0xF
 
     def destroy(self):
         """Hand every pool back for arena-level reclamation; the control is
         unusable afterward.  Live allocations are abandoned by design."""
-        with self._lock:
-            self._dead = True
-            return list(self._pools)
+        self._dead = True
+        return list(self._pools)
 
     def _ensure_alive(self):
         if self._dead:
@@ -405,9 +398,8 @@ class TlsfControl:
             self._check_integrity()
 
     def check(self):
-        with self._lock:
-            self._ensure_alive()
-            self._check_integrity()
+        self._ensure_alive()
+        self._check_integrity()
 
     def _check_integrity(self):
         free_by_walk = {}

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from capdomains import server as server_mod
+from capdomains.capmem import BoundsViolation, Capability, TagViolation
 from capdomains.cli import build_parser, main
 from capdomains.server import GuardServer, ServerConfig
 
@@ -50,7 +51,8 @@ def test_serve_loads_only_the_serving_modules():
     probe = (
         "import capdomains.cli, sys; "
         "print(*sorted(m for m in sys.modules if m.startswith('capdomains'))); "
-        "print(*[m for m in ('capdomains.bench', 'dataclasses', 'statistics', 'csv') if m in sys.modules])"
+        "print(*[m for m in ('capdomains.bench', 'dataclasses', 'statistics', 'csv', 'logging') "
+        "if m in sys.modules])"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
@@ -61,7 +63,7 @@ def test_serve_loads_only_the_serving_modules():
         "capdomains", "capdomains.capmem", "capdomains.cli", "capdomains.domains",
         "capdomains.server", "capdomains.tlsf",
     ]
-    assert out[1].split() == [], "serve loaded the harness or its imports"
+    assert out[1].split() == [], "serve loaded the harness, its imports or logging"
 
 
 def _default_sigint():
@@ -71,11 +73,12 @@ def _default_sigint():
 
 
 @contextlib.contextmanager
-def serve_process():
-    """A fresh ``capdomains serve`` process and its port, once it is listening."""
+def serve_process(*args):
+    """A fresh interpreter run with ``args`` (``capdomains serve`` if none) and
+    the port it serves on, once it has printed its banner."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "capdomains.cli", "serve", "--port", "0"],
+        [sys.executable, *(args or ("-m", "capdomains.cli", "serve", "--port", "0"))],
         env=dict(os.environ, PYTHONPATH=str(src)),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=_default_sigint,
     )
@@ -92,16 +95,20 @@ def serve_process():
         proc.communicate()
 
 
+def shut_down(port):
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(b"SHUTDOWN\n")
+        with sock.makefile("rb") as reply:
+            assert reply.read() == b"OK 3\nbye"
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_serve_runs_its_worker_on_the_main_thread():
     with serve_process() as (proc, port):
         with open(f"/proc/{proc.pid}/status") as fh:
             threads = [line.split()[1] for line in fh if line.startswith("Threads:")]
         assert threads == ["1"]
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            sock.sendall(b"SHUTDOWN\n")
-            with sock.makefile("rb") as reply:
-                assert reply.read() == b"OK 3\nbye"
+        shut_down(port)
         assert proc.wait(timeout=10) == 0
 
 
@@ -113,6 +120,42 @@ def test_serve_exits_cleanly_on_sigint():
         assert err == b""
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+
+def test_a_serving_process_never_loads_logging():
+    probe = (
+        "import sys; from capdomains import cli; "
+        "rc = cli.main(['serve', '--port', '0']); "
+        "print(rc, 'logging' in sys.modules)"
+    )
+    with serve_process("-c", probe) as (proc, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"STATS\n")
+            with sock.makefile("rb") as reply:
+                head = reply.readline()
+                assert head.startswith(b"OK ") and b"alive=1" in reply.read(int(head[3:]))
+        shut_down(port)
+        out, err = proc.communicate(timeout=10)
+    assert out.split() == [b"0", b"False"], err
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+def test_serve_logs_one_line_per_contained_fault_only_under_verbose(verbose):
+    flags = ["-v"] if verbose else []
+    with serve_process("-m", "capdomains.cli", *flags, "serve", "--port", "0") as (proc, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"A" * server_mod.OVERSIZE_LEN + b"\n")
+            assert sock.recv(1) == b""
+        shut_down(port)
+        _out, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    if verbose:
+        faults = [line for line in err.decode().splitlines() if "contained fault" in line]
+        assert len(faults) == 1
+        assert "bounds-violation" in faults[0]
+        assert f"access_len={server_mod.OVERSIZE_LEN + 1}" in faults[0]
+    else:
+        assert err == b""
 
 
 def test_a_second_listen_or_start_is_refused_and_binds_nothing(monkeypatch):
@@ -175,16 +218,19 @@ def test_serve_until_shutdown_request():
     sock.close()
 
 
-def test_serve_exits_nonzero_when_the_worker_dies(capsys, monkeypatch):
+def serve_a_crashing_parser(fault, mode, capsys, monkeypatch):
+    """Run ``serve`` in-process, as without -v, until a parser that raises
+    ``fault`` kills the worker; returns the exit code and stderr."""
     def crash(data, buf):
-        raise RuntimeError("parser crashed")
+        raise fault
 
     monkeypatch.setattr(server_mod, "parse_request_line", crash)
+    monkeypatch.setattr(server_mod, "log", None)  # an earlier harness command may have set it
     port = free_port()
     rc = {}
 
     def run():
-        rc["value"] = main(["serve", "--port", str(port)])
+        rc["value"] = main(["serve", "--port", str(port), "--mode", mode])
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
@@ -201,8 +247,42 @@ def test_serve_exits_nonzero_when_the_worker_dies(capsys, monkeypatch):
     assert sock.recv(1) == b""
     sock.close()
     thread.join(timeout=5)
-    assert rc.get("value") == 1
-    assert "RuntimeError: parser crashed" in capsys.readouterr().err
+    return rc.get("value"), capsys.readouterr().err
+
+
+def test_serve_exits_nonzero_when_the_worker_dies(capsys, monkeypatch):
+    rc, err = serve_a_crashing_parser(RuntimeError("parser crashed"), "domains", capsys, monkeypatch)
+    assert rc == 1
+    assert err.count("worker terminated by RuntimeError: parser crashed") == 1
+    # a cause that is not a protection fault comes with its traceback
+    assert "Traceback (most recent call last)" in err and "in crash" in err
+
+
+def test_serve_prints_a_fatal_protection_fault_once_without_a_traceback(capsys, monkeypatch):
+    fault = BoundsViolation(0, 7)
+    rc, err = serve_a_crashing_parser(fault, "baseline", capsys, monkeypatch)
+    assert rc == 1
+    assert err == f"worker terminated by BoundsViolation: {fault}\n"
+
+
+def test_serve_reports_a_fault_in_taking_its_first_buffer(capsys, monkeypatch):
+    view = Capability.view
+    injected = []
+
+    def fault_the_first_view(self, offset, length):
+        if not injected:
+            injected.append(TagViolation(self.address + offset, length))
+            raise injected[0]
+        return view(self, offset, length)
+
+    monkeypatch.setattr(Capability, "view", fault_the_first_view)
+    rc = main(["serve", "--port", "0", "--mode", "domains"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "listening on" not in out
+    assert err.startswith("error: ") and str(injected[0].record) in err
+    assert injected[0].record.domain_udi == server_mod.PARSE_DOMAIN_UDI
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("heap_size", ["abc", "13328"])

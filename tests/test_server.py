@@ -12,8 +12,10 @@ import pytest
 
 from capdomains import domains as domains_mod
 from capdomains import server as server_mod
-from capdomains.capmem import BoundsViolation, Capability, FaultKind, FaultRecord, MemoryArena
-from capdomains.domains import DomainManager
+from capdomains.capmem import (
+    BoundsViolation, Capability, FaultKind, FaultRecord, MemoryArena, ProtectionFault, TagViolation,
+)
+from capdomains.domains import DomainManager, MainDomainFault
 from capdomains.tlsf import TlsfControl
 from capdomains.server import (
     HEADER_BUF_LEN,
@@ -882,6 +884,40 @@ def test_start_refuses_a_buffer_that_can_never_be_served(heap_size, monkeypatch)
         finally:
             srv.stop()
             srv.join()
+
+
+def test_a_fault_in_the_rearm_ends_the_worker_with_its_record(monkeypatch):
+    # the first checked view after the attack's own fault is the re-arm's
+    view = Capability.view
+    faults = []
+
+    def fault_the_rearm(self, offset, length):
+        if len(faults) == 1:
+            faults.append(TagViolation(self.address + offset, length))
+            raise faults[1]
+        try:
+            return view(self, offset, length)
+        except ProtectionFault as exc:
+            faults.append(exc)
+            raise
+
+    monkeypatch.setattr(Capability, "view", fault_the_rearm)
+    srv = start_server("domains")
+    try:
+        with connect(srv.port) as sock:
+            sock.sendall(ATTACK)
+            assert read_response(sock) is None
+        srv.join(timeout=5)
+        assert not srv.alive
+        attack, injected = faults
+        assert isinstance(attack, BoundsViolation)
+        assert isinstance(srv.fatal, MainDomainFault)
+        assert srv.fatal.record is injected.record
+        assert injected.record.domain_udi == server_mod.PARSE_DOMAIN_UDI
+        assert srv.stats_snapshot().rejected_malicious == 1
+    finally:
+        srv.stop()
+        srv.join()
 
 
 @pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])

@@ -6,7 +6,6 @@ arena bytes from a snapshot, and the extent oracle is a plain interval set.
 """
 
 import random
-import threading
 
 import pytest
 
@@ -429,34 +428,3 @@ def test_differential_random_ops():
     # the fresh blocks of two 1 MiB pools share a class, so the first
     # malloc already follows a free-list link from one pool into the other
     run_differential(3, 10_000, pools=2)
-
-
-def test_lock_serializes_concurrent_callers():
-    arena, ctrl = fresh_control(arena_size=8 * MIB, pool_size=2 * MIB)
-    errors = []
-
-    def hammer(seed):
-        rng = random.Random(seed)
-        mine = []
-        try:
-            for _ in range(2000):
-                if mine and rng.random() < 0.5:
-                    ctrl.free(mine.pop())
-                else:
-                    try:
-                        mine.append(ctrl.malloc(rng.randrange(1, 256)))
-                    except OutOfMemory:
-                        pass
-            for cap in mine:
-                ctrl.free(cap)
-        except Exception as exc:  # surfaced to the main thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    ctrl.check()
-    assert ctrl.stats.live_allocations == 0
