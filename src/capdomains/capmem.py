@@ -66,6 +66,14 @@ class BoundsViolation(ProtectionFault):
     kind = FaultKind.BOUNDS
 
 
+class MainDomainFault(Exception):
+    """A protection fault reached the main domain; there is nothing to rewind."""
+
+    def __init__(self, record: FaultRecord):
+        super().__init__(f"unrecoverable fault reached the main domain: {record}")
+        self.record = record
+
+
 class ArenaExhausted(Exception):
     """No gap large enough to reserve a region."""
 

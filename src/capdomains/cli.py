@@ -1,57 +1,20 @@
-"""Command line front end: serve, bench, attack, demo, compare."""
+"""Command line front end: serve, bench, attack, demo, compare.
 
-import argparse
+The command line is parsed from one table, ``COMMANDS``, without ``argparse``,
+so a server process loads neither it nor ``gettext``.  Option names are
+matched whole: ``--conn`` is not ``--connections``.
+"""
+
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from . import server
-from .capmem import ProtectionFault
-from .domains import MainDomainFault
+from .capmem import MainDomainFault, ProtectionFault
 from .server import OVERSIZE_LEN, PAYLOAD_BYTES, MODES, GuardServer, ServerConfig
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="capdomains",
-        description="Capability-guarded request server and its benchmark harness",
-    )
-    parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("serve", help="run the guard server until shutdown or fault")
-    p.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    p.add_argument("--mode", choices=MODES, default="domains")
-    p.add_argument("--payload", choices=PAYLOAD_BYTES, default="0k")
-    p.add_argument("--host", default="127.0.0.1")
-
-    p = sub.add_parser("bench", help="closed-loop load against a running server")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
-    p.add_argument("--connections", type=int, default=8)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--payload", choices=PAYLOAD_BYTES, default="0k")
-    p.add_argument("--malicious-ratio", type=float, default=0.0)
-    p.add_argument("--reps", type=int, default=3, help="desk-scale default")
-    p.add_argument("--out", default=None, help="append per-run CSV rows here")
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("attack", help="send one oversized request line")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
-    p.add_argument("--oversize", type=int, default=OVERSIZE_LEN)
-
-    sub.add_parser("demo", help="five-request scenario, protected vs unprotected")
-
-    p = sub.add_parser("compare", help="measure the mode x payload matrix in-process")
-    p.add_argument("--connections", type=int, default=8)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--modes", default=",".join(MODES))
-    p.add_argument("--payloads", default=",".join(PAYLOAD_BYTES))
-    p.add_argument("--out", default=None, help="append per-run CSV rows here")
-    p.add_argument("--compare-out", default=None, help="write the overhead CSV here")
-    p.add_argument("--seed", type=int, default=None)
-    return parser
+PROG = "capdomains"
+REQUIRED = ...  # the default of an option that must be given
 
 
 def _cmd_serve(args) -> int:
@@ -134,8 +97,137 @@ def _cmd_compare(args, bench_mod) -> int:
     return 0
 
 
+# command -> (handler, help, {option: (int, float, str or a tuple of choices, default, help)});
+# every handler but serve's is also handed the harness module
+COMMANDS = {
+    "serve": (_cmd_serve, "run the guard server until shutdown or fault", {
+        "--port": (int, 0, "0 picks a free port"),
+        "--mode": (MODES, "domains", "where the request buffer comes from"),
+        "--payload": (tuple(PAYLOAD_BYTES), "0k", "reply body size"),
+        "--host": (str, "127.0.0.1", "address to listen on"),
+    }),
+    "bench": (_cmd_bench, "closed-loop load against a running server", {
+        "--host": (str, "127.0.0.1", "server address"),
+        "--port": (int, REQUIRED, "server port"),
+        "--connections": (int, 8, "client connections"),
+        "--duration": (float, 10.0, "seconds per run"),
+        "--payload": (tuple(PAYLOAD_BYTES), "0k", "reply body size the server was started with"),
+        "--malicious-ratio": (float, 0.0, "share of requests that are attacks"),
+        "--reps": (int, 3, "runs; desk-scale default"),
+        "--out": (str, None, "append per-run CSV rows here"),
+        "--seed": (int, None, "seed of the clients' random streams"),
+    }),
+    "attack": (_cmd_attack, "send one oversized request line", {
+        "--host": (str, "127.0.0.1", "server address"),
+        "--port": (int, REQUIRED, "server port"),
+        "--oversize": (int, OVERSIZE_LEN, "attack line length in bytes"),
+    }),
+    "demo": (_cmd_demo, "five-request scenario, protected vs unprotected", {}),
+    "compare": (_cmd_compare, "measure the mode x payload matrix in-process", {
+        "--connections": (int, 8, "client connections"),
+        "--duration": (float, 10.0, "seconds per run"),
+        "--reps": (int, 3, "runs per cell"),
+        "--modes": (str, ",".join(MODES), "comma-separated modes"),
+        "--payloads": (str, ",".join(PAYLOAD_BYTES), "comma-separated payloads"),
+        "--out": (str, None, "append per-run CSV rows here"),
+        "--compare-out": (str, None, "write the overhead CSV here"),
+        "--seed": (int, None, "seed of the clients' random streams"),
+    }),
+}
+_TOP_OPTIONS = {"-h, --help": "show this help message and exit", "-v, --verbose": "log at INFO level"}
+
+
+def _spelled(name: str, kind) -> str:
+    """``--port PORT`` or ``--mode {baseline,tlsf,domains}``."""
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {name[2:].upper().replace('-', '_')}"
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: {PROG} [-h] [-v] {{{','.join(COMMANDS)}}} ..."
+    opts = (_spelled(name, kind) if default is REQUIRED else f"[{_spelled(name, kind)}]"
+            for name, (kind, default, _h) in COMMANDS[command][2].items())
+    return " ".join([f"usage: {PROG} {command} [-h]", *opts])
+
+
+def _fail(command: Optional[str], reason: str):
+    """Exit 2 with a usage line and the reason on stderr, as argparse does."""
+    where = PROG if command is None else f"{PROG} {command}"
+    print(_usage(command), f"{where}: error: {reason}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(command: Optional[str]):
+    """Print the commands, or one command's options with their defaults, and exit 0."""
+    if command is None:
+        about = "Capability-guarded request server and its benchmark harness"
+        sections = {"commands": {name: text for name, (_c, text, _o) in COMMANDS.items()},
+                    "options": _TOP_OPTIONS}
+    else:
+        _c, about, options = COMMANDS[command]
+        rows = {"-h, --help": _TOP_OPTIONS["-h, --help"]}
+        for name, (kind, default, text) in options.items():
+            rows[_spelled(name, kind)] = f"{text} (" + (
+                "required)" if default is REQUIRED else f"default: {default})")
+        sections = {"options": rows}
+    print(_usage(command), "", about, sep="\n")
+    for title, rows in sections.items():
+        width = max(map(len, rows))
+        print(f"\n{title}:", *(f"  {name:<{width}}  {text}" for name, text in rows.items()), sep="\n")
+    raise SystemExit(0)
+
+
+def parse_args(argv: Optional[List[str]] = None) -> SimpleNamespace:
+    """``[-v] COMMAND [--option VALUE | --option=VALUE]...`` as a namespace of
+    ``command``, ``verbose`` and each option (``--malicious-ratio`` as
+    ``malicious_ratio``).  ``-h`` prints help and exits 0; a bad command line
+    exits 2."""
+    args = list(sys.argv[1:] if argv is None else argv)
+    verbose = False
+    while args and args[0] in ("-h", "--help", "-v", "--verbose"):
+        if args.pop(0) in ("-h", "--help"):
+            _help(None)
+        verbose = True
+    if not args:
+        _fail(None, "the following arguments are required: command")
+    command = args.pop(0)
+    if command not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    options = COMMANDS[command][2]
+    values = {name: default for name, (_k, default, _h) in options.items()}
+    while args:
+        token = args.pop(0)
+        if token in ("-h", "--help"):
+            _help(command)
+        name, eq, value = token.partition("=")
+        if name not in options:
+            _fail(None, f"unrecognized arguments: {' '.join([token, *args])}")
+        if not eq:  # the next word is the value, unless it is an option (a negative number is not)
+            if not args or args[0][:1] == "-" and not args[0][1:].replace(".", "", 1).isdigit():
+                _fail(command, f"argument {name}: expected one argument")
+            value = args.pop(0)
+        kind = options[name][0]
+        if not isinstance(kind, tuple):
+            try:
+                value = kind(value)
+            except ValueError:
+                _fail(command, f"argument {name}: invalid {kind.__name__} value: {value!r}")
+        elif value not in kind:
+            _fail(command, f"argument {name}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, kind))})")
+        values[name] = value
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, verbose=verbose,
+                           **{name[2:].replace("-", "_"): v for name, v in values.items()})
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     if args.verbose or args.command != "serve":  # a plain server never loads logging
         import logging
         logging.basicConfig(
@@ -143,17 +235,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             format="%(asctime)s %(name)s %(levelname)s %(message)s",
         )
         server.log = logging.getLogger(server.__name__)
-    harness_commands = {
-        "bench": _cmd_bench,
-        "attack": _cmd_attack,
-        "demo": _cmd_demo,
-        "compare": _cmd_compare,
-    }
     try:
         if args.command == "serve":
             return _cmd_serve(args)
         from . import bench as bench_mod  # the harness: a server never loads it
-        return harness_commands[args.command](args, bench_mod)
+        return COMMANDS[args.command][0](args, bench_mod)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

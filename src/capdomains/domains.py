@@ -25,7 +25,7 @@ live domain's parent is live and was set up before it: parents form no cycle.
 import os
 from typing import Any, Callable, Optional, Union
 
-from .capmem import Capability, FaultRecord, MemoryArena, ProtectionFault, ArenaExhausted
+from .capmem import Capability, FaultRecord, MainDomainFault, MemoryArena, ProtectionFault, ArenaExhausted
 from .tlsf import TlsfControl, DEFAULT_MAX_POOL_SIZE, check_alloc_size, tlsf_create_with_pool
 
 from enum import IntEnum
@@ -51,14 +51,6 @@ class StatusCode(IntEnum):
     UDI_OUT_OF_BOUNDS = -1
     NOT_INITIALIZED = -2
     ABNORMAL_EXIT = -3
-
-
-class MainDomainFault(Exception):
-    """A protection fault reached the main domain; there is nothing to rewind."""
-
-    def __init__(self, record: FaultRecord):
-        super().__init__(f"unrecoverable fault reached the main domain: {record}")
-        self.record = record
 
 
 class HeapInitError(RuntimeError):
@@ -304,8 +296,10 @@ class DomainManager:
             )
             for addr in range(region.base + step, end, step):
                 heap.add_pool(region.address_set(addr), min(step, end - addr))
-        except ValueError as exc:  # a pool below the allocator's minimum
+        except BaseException as exc:  # a fault, or a pool below the allocator's minimum
             self.arena.release(region)
+            if not isinstance(exc, ValueError):
+                raise
             raise HeapInitError(
                 f"cannot lay out a {size}-byte heap for domain {self.active_domain}: {exc}"
             ) from exc

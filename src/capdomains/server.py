@@ -57,9 +57,7 @@ import socket
 import threading
 from typing import Dict, NamedTuple, Optional
 
-from .capmem import Capability, MemoryArena, ProtectionFault
-from .domains import HEAP_SIZE_ENV, Aborted, DomainManager, HeapInitError, MainDomainFault
-from .tlsf import AllocationError, tlsf_create_with_pool
+from .capmem import Capability, MainDomainFault, MemoryArena, ProtectionFault
 
 log = None  # the worker's logging.Logger, set by a caller that loads logging
 
@@ -237,40 +235,52 @@ class GuardServer:
     # ------------------------------------------------------------ worker
 
     def _mode_state(self):
-        """Per-mode state: the worker's one request buffer and whether a
-        parse is contained.  In domains mode the buffer is taken inside the
-        parse domain, from the heap that ``APP_HEAP_SIZE`` sets."""
-        manager: Optional[DomainManager] = None
+        """Per-mode state: the worker's one request buffer, how a parse is
+        contained, and how the buffer is taken again after an abort.  Only
+        the modes that run ``tlsf`` or ``domains`` import them, here, so a
+        wrapper bound on either module beforehand still applies.  In domains
+        mode the buffer is taken inside the parse domain, from the heap that
+        ``APP_HEAP_SIZE`` sets."""
+        manager = take_buffer = None
         if self.config.mode == "domains":
-            manager = DomainManager(arena_size=ARENA_SIZE, default_heap_size=HEAP_SIZE)
+            from . import domains, tlsf
+            manager = domains.DomainManager(arena_size=ARENA_SIZE, default_heap_size=HEAP_SIZE)
             arena = manager.arena
 
             def contain(job, *args):
-                return manager.domain_call(PARSE_DOMAIN_UDI, functools.partial(job, *args))
+                """Run a parse pass in the parse domain: the fault record if it aborted, else None."""
+                outcome = manager.domain_call(PARSE_DOMAIN_UDI, functools.partial(job, *args))
+                return outcome.fault if outcome.aborted else None
+
+            def take_buffer():
+                """The request buffer, from the parse domain's heap."""
+                outcome = manager.domain_call(
+                    PARSE_DOMAIN_UDI, functools.partial(manager.dalloc, HEADER_BUF_LEN))
+                if outcome.aborted:  # no buffer, no serving
+                    raise MainDomainFault(outcome.fault)
+                return outcome.value
 
             try:
-                outcome = contain(manager.dalloc, HEADER_BUF_LEN)
-                if isinstance(outcome, Aborted):
-                    raise MainDomainFault(outcome.fault)
-            except (AllocationError, HeapInitError, MainDomainFault) as exc:
+                buf = take_buffer()
+            except (tlsf.AllocationError, domains.HeapInitError, MainDomainFault) as exc:
                 raise ValueError(
                     f"domains mode cannot serve a {HEADER_BUF_LEN}-byte request buffer "
-                    f"from the heap that {HEAP_SIZE_ENV} sets: {exc}"
+                    f"from the heap that {domains.HEAP_SIZE_ENV} sets: {exc}"
                 ) from exc
-            buf = outcome.value
         else:
             arena = MemoryArena(ARENA_SIZE)
             if self.config.mode == "tlsf":
-                buf = tlsf_create_with_pool(arena.reserve(HEAP_SIZE), HEAP_SIZE).malloc(HEADER_BUF_LEN)
+                from . import tlsf
+                buf = tlsf.tlsf_create_with_pool(arena.reserve(HEAP_SIZE), HEAP_SIZE).malloc(HEADER_BUF_LEN)
             else:
                 buf = arena.reserve(HEADER_BUF_LEN)
 
             def contain(job, *args):
                 return job(*args)  # unguarded: a fault in the parse kills the worker
 
-        return arena, manager, buf, contain
+        return arena, manager, buf, contain, take_buffer
 
-    def _worker(self, arena, manager, buf, contain) -> None:
+    def _worker(self, arena, manager, buf, contain, take_buffer) -> None:
         cfg = self.config
         sel = selectors.DefaultSelector()
         conns: Dict[socket.socket, _Conn] = {}
@@ -369,21 +379,17 @@ class GuardServer:
                     if not rbuf.startswith(_CONTROL, start):
                         queued = len(conn.out)
                         try:
-                            outcome = contain(parse_lines, conn, start, nl)
+                            fault = contain(parse_lines, conn, start, nl)
                         finally:
                             # answered is answered: malformed requests count as served
                             bump(served=rbuf.count(b"\n", start, done), out=len(conn.out) - queued)
                             start = done
-                        if isinstance(outcome, Aborted):
+                        if fault is not None:
                             if log is not None:
-                                log.info("connection dropped after contained fault: %s", outcome.fault)
+                                log.info("connection dropped after contained fault: %s", fault)
                             bump(rejected=1)
                             close_conn(conn)
-                            # the discarded parse heap took the buffer with it
-                            outcome = contain(manager.dalloc, HEADER_BUF_LEN)
-                            if isinstance(outcome, Aborted):  # no buffer, no serving
-                                raise MainDomainFault(outcome.fault)
-                            buf = outcome.value
+                            buf = take_buffer()  # the discarded parse heap took the old one
                             return
                     elif rbuf.startswith(b"STATS\n", start):
                         body = stats_body()

@@ -16,7 +16,7 @@ import pytest
 
 from capdomains import server as server_mod
 from capdomains.capmem import BoundsViolation, Capability, TagViolation
-from capdomains.cli import build_parser, main
+from capdomains.cli import main, parse_args
 from capdomains.server import GuardServer, ServerConfig
 
 
@@ -29,41 +29,135 @@ def free_port():
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["serve"])
+    args = parse_args(["serve"])
     assert args.mode == "domains"
     assert args.payload == "0k"
-    args = build_parser().parse_args(["bench", "--port", "9"])
+    args = parse_args(["bench", "--port", "9"])
     assert args.connections == 8
     assert args.duration == 10.0
     assert args.reps == 3
     assert args.malicious_ratio == 0.0
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["serve", "--mode", "nonsense"])
+        parse_args(["serve", "--mode", "nonsense"])
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench"])  # port is required
-    args = build_parser().parse_args(["attack", "--port", "9"])
+        parse_args(["bench"])  # port is required
+    args = parse_args(["attack", "--port", "9"])
     assert args.oversize == server_mod.OVERSIZE_LEN == 200
     assert args.oversize > server_mod.HEADER_BUF_LEN
 
 
+SERVING_MODULES = {
+    "baseline": ["capdomains", "capdomains.capmem", "capdomains.cli", "capdomains.server"],
+    "tlsf": ["capdomains", "capdomains.capmem", "capdomains.cli", "capdomains.server",
+             "capdomains.tlsf"],
+    "domains": ["capdomains", "capdomains.capmem", "capdomains.cli", "capdomains.domains",
+                "capdomains.server", "capdomains.tlsf"],
+}
+
+
 def test_serve_loads_only_the_serving_modules():
-    # a fresh interpreter, because pytest itself has loaded dataclasses
+    # a fresh interpreter per mode, because pytest itself has loaded dataclasses
     probe = (
-        "import capdomains.cli, sys; "
+        "import sys; from capdomains import cli; "
+        "args = cli.parse_args(['serve', '--mode', sys.argv[1]]); "
+        "srv = cli.GuardServer(cli.ServerConfig(args.port, args.mode, 0)); srv.listen(); "
         "print(*sorted(m for m in sys.modules if m.startswith('capdomains'))); "
-        "print(*[m for m in ('capdomains.bench', 'dataclasses', 'statistics', 'csv', 'logging') "
-        "if m in sys.modules])"
+        "print(*[m for m in ('capdomains.bench', 'dataclasses', 'statistics', 'csv', 'logging', "
+        "'argparse', 'gettext') if m in sys.modules]); "
+        "srv.stop(); srv.serve()"
     )
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=60, check=True,
-    ).stdout.split("\n")
-    assert out[0].split() == [
-        "capdomains", "capdomains.capmem", "capdomains.cli", "capdomains.domains",
-        "capdomains.server", "capdomains.tlsf",
-    ]
-    assert out[1].split() == [], "serve loaded the harness, its imports or logging"
+    for mode, modules in SERVING_MODULES.items():
+        out = subprocess.run(
+            [sys.executable, "-c", probe, mode], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout.split("\n")
+        assert out[0].split() == modules, mode
+        assert out[1].split() == [], f"{mode}: serve loaded the harness, its imports, logging or argparse"
+
+
+COMMAND_NAMES = ["serve", "bench", "attack", "demo", "compare"]
+USAGE_SERVE = "usage: capdomains serve [-h] [--port PORT] [--mode {baseline,tlsf,domains}]"
+USAGE_TOP = "usage: capdomains [-h] [-v] {serve,bench,attack,demo,compare} ..."
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["serve"], dict(command="serve", verbose=False, port=0, mode="domains", payload="0k",
+                     host="127.0.0.1")),
+    (["bench", "--port", "9"], dict(command="bench", verbose=False, host="127.0.0.1", port=9,
+                                    connections=8, duration=10.0, payload="0k", malicious_ratio=0.0,
+                                    reps=3, out=None, seed=None)),
+    (["attack", "--port", "9"], dict(command="attack", verbose=False, host="127.0.0.1", port=9,
+                                     oversize=200)),
+    (["demo"], dict(command="demo", verbose=False)),
+    (["compare"], dict(command="compare", verbose=False, connections=8, duration=10.0, reps=3,
+                       modes="baseline,tlsf,domains", payloads="0k,1k,4k,16k", out=None,
+                       compare_out=None, seed=None)),
+    (["-v", "serve", "--mode=tlsf", "--payload", "16k", "--port=8900", "--host", "0.0.0.0"],
+     dict(command="serve", verbose=True, port=8900, mode="tlsf", payload="16k", host="0.0.0.0")),
+    (["--verbose", "bench", "--port=9", "--malicious-ratio", "-0.5", "--duration=0.25", "--seed", "7",
+      "--out=rows.csv", "--reps", "1", "--connections", "2", "--payload=1k", "--host", "h"],
+     dict(command="bench", verbose=True, host="h", port=9, connections=2, duration=0.25,
+          payload="1k", malicious_ratio=-0.5, reps=1, out="rows.csv", seed=7)),
+    (["compare", "--modes=baseline", "--compare-out", "c=1.csv", "--compare-out=last.csv"],
+     dict(command="compare", verbose=False, connections=8, duration=10.0, reps=3,
+          modes="baseline", payloads="0k,1k,4k,16k", out=None, compare_out="last.csv", seed=None)),
+])
+def test_parser_reads_every_command(argv, expected):
+    assert vars(parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("argv, usage, reason", [
+    ([], USAGE_TOP, "capdomains: error: the following arguments are required: command"),
+    (["-v"], USAGE_TOP, "the following arguments are required: command"),
+    (["serv"], USAGE_TOP, "argument command: invalid choice: 'serv' (choose from 'serve', "),
+    (["serve", "--nope", "1"], USAGE_TOP, "unrecognized arguments: --nope 1"),
+    (["serve", "extra"], USAGE_TOP, "unrecognized arguments: extra"),
+    (["serve", "-v"], USAGE_TOP, "unrecognized arguments: -v"),
+    (["bench", "--conn", "2", "--port", "9"], USAGE_TOP, "unrecognized arguments: --conn"),
+    (["serve", "--port"], USAGE_SERVE, "capdomains serve: error: argument --port: expected one argument"),
+    (["serve", "--host", "--port", "1"], USAGE_SERVE, "argument --host: expected one argument"),
+    (["serve", "--port", "x"], USAGE_SERVE, "argument --port: invalid int value: 'x'"),
+    (["serve", "--port=1.5"], USAGE_SERVE, "argument --port: invalid int value: '1.5'"),
+    (["bench", "--port", "9", "--duration", "soon"], "usage: capdomains bench [-h] [--host HOST] --port PORT",
+     "argument --duration: invalid float value: 'soon'"),
+    (["serve", "--mode", "nonsense"], USAGE_SERVE,
+     "argument --mode: invalid choice: 'nonsense' (choose from 'baseline', 'tlsf', 'domains')"),
+    (["serve", "--payload=2k"], USAGE_SERVE, "argument --payload: invalid choice: '2k'"),
+    (["bench"], "usage: capdomains bench", "the following arguments are required: --port"),
+    (["attack", "--oversize", "300"], "usage: capdomains attack [-h] [--host HOST] --port PORT [--oversize OVERSIZE]",
+     "capdomains attack: error: the following arguments are required: --port"),
+])
+def test_parser_refuses_a_bad_command_line_with_usage_and_exit_2(argv, usage, reason, capsys):
+    with pytest.raises(SystemExit) as exited:
+        parse_args(argv)
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    first, second = err.splitlines()
+    assert first.startswith(usage)
+    assert reason in second and second.startswith("capdomains")
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["-h"], ["commands:", *COMMAND_NAMES, "--verbose", "log at INFO level"]),
+    (["-v", "--help", "serve"], ["commands:", *COMMAND_NAMES]),
+    (["serve", "-h"], ["--port PORT", "0 picks a free port (default: 0)",
+                       "--mode {baseline,tlsf,domains}", "(default: domains)", "(default: 127.0.0.1)"]),
+    (["bench", "--reps", "1", "--help"], ["--port PORT", "(required)", "--malicious-ratio MALICIOUS_RATIO",
+                                          "(default: 0.0)", "desk-scale default (default: 3)"]),
+    (["attack", "-h"], ["--oversize OVERSIZE", "(default: 200)"]),
+    (["demo", "-h"], ["five-request scenario"]),
+    (["compare", "-h"], ["--compare-out COMPARE_OUT", "(default: baseline,tlsf,domains)"]),
+])
+def test_help_prints_the_commands_or_options_and_exits_0(argv, shown, capsys):
+    with pytest.raises(SystemExit) as exited:
+        parse_args(argv)
+    assert exited.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: capdomains ")
+    for text in shown:
+        assert text in out
 
 
 def _default_sigint():

@@ -1,10 +1,11 @@
 """Domain runtime: status codes, scoped rewind, discard accounting, heap routing."""
 
+import functools
 import random
 
 import pytest
 
-from capdomains.capmem import BoundsViolation, FaultKind
+from capdomains.capmem import BoundsViolation, Capability, FaultKind, TagViolation
 from capdomains.domains import (
     APP_DEFAULT_HEAP_SIZE,
     MAX_DOMAIN_ID,
@@ -470,6 +471,33 @@ def test_heap_size_that_is_no_byte_count_is_refused(monkeypatch, raw):
         mgr.domain_call(1, lambda: mgr.dalloc(16))
     assert mgr.arena.reserved_bytes == 0
     assert mgr.heap_of(1) is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_a_fault_while_a_heap_is_built_leaves_nothing_reserved(k, monkeypatch):
+    # views 1 and 2 lay out the new pool, before the heap is recorded;
+    # views 3 to 5 are the first malloc's, after it is
+    monkeypatch.delenv("APP_HEAP_SIZE", raising=False)
+    view = Capability.view
+    seen, injected = [], []
+
+    def fault_the_kth_view(self, offset, length):
+        seen.append(None)
+        if len(seen) == k:
+            injected.append(TagViolation(self.address + offset, length))
+            raise injected[0]
+        return view(self, offset, length)
+
+    mgr = DomainManager(arena_size=4 * MIB, default_heap_size=256 * KIB)
+    monkeypatch.setattr(Capability, "view", fault_the_kth_view)
+    outcome = mgr.domain_call(1, functools.partial(mgr.dalloc, 64))
+    assert isinstance(outcome, Aborted)
+    assert outcome.fault is injected[0].record and outcome.fault.domain_udi == 1
+    assert mgr.arena.reserved_bytes == 0
+    assert mgr.heap_of(1) is None and not mgr.is_initialized(1)
+    monkeypatch.setattr(Capability, "view", view)
+    assert isinstance(mgr.domain_call(1, functools.partial(mgr.dalloc, 64)), Normal)
+    assert mgr.arena.reserved_bytes == 256 * KIB
 
 
 # ---------------------------------------------------------------- facade

@@ -13,7 +13,8 @@ import pytest
 from capdomains import domains as domains_mod
 from capdomains import server as server_mod
 from capdomains.capmem import (
-    BoundsViolation, Capability, FaultKind, FaultRecord, MemoryArena, ProtectionFault, TagViolation,
+    BoundsViolation, Capability, FaultKind, FaultRecord, MemoryArena, PermissionViolation,
+    ProtectionFault, TagViolation,
 )
 from capdomains.domains import DomainManager, MainDomainFault
 from capdomains.tlsf import TlsfControl
@@ -857,7 +858,7 @@ def test_config_refuses_a_bad_mode_or_payload_before_any_port_is_bound(mode, pay
         raise AssertionError("a socket or an arena was made")
 
     for owner, name in ((server_mod.socket, "create_server"), (server_mod, "MemoryArena"),
-                        (server_mod, "DomainManager")):
+                        (domains_mod, "DomainManager")):
         monkeypatch.setattr(owner, name, never)
     with pytest.raises(ValueError, match=match):
         GuardServer(ServerConfig(listen_port=port, mode=mode, payload_size=payload_size)).start()
@@ -918,6 +919,97 @@ def test_a_fault_in_the_rearm_ends_the_worker_with_its_record(monkeypatch):
     finally:
         srv.stop()
         srv.join()
+
+
+# one client session: each step on a connection of its own, with the replies
+# it is owed if nothing faults (None: the connection is dropped)
+SWEEP_SESSION = (
+    (b"GET /first\n", 1),
+    (ATTACK, None),
+    (b"STATS\n", 1),
+    (b"GET /a\nGET /b\nBAD\nGET /d\n", 4),
+)
+
+
+def run_sweep_session(srv):
+    """Start ``srv`` and run the session, tolerating drops and a dead worker.
+    Returns ``reserved`` from a STATS before the session's first step."""
+    srv.start()
+    with connect(srv.port) as sock:
+        reserved = stats_fields(sock)[b"reserved"]
+    for data, replies in SWEEP_SESSION:
+        try:
+            with connect(srv.port) as sock:
+                sock.sendall(data)
+                for _ in range(replies or 1):
+                    if read_response(sock) is None:
+                        break
+        except OSError:
+            pass  # refused or reset: the worker has died
+    return reserved
+
+
+@pytest.mark.parametrize("mode", server_mod.MODES)
+def test_every_injected_view_fault_is_contained_or_classified(mode, monkeypatch):
+    # counts the checked views of one session (start-up included), then
+    # faults each in turn, rotating through the three fault kinds
+    monkeypatch.delenv("APP_HEAP_SIZE", raising=False)
+    view = Capability.view
+    seen, injected = [], []
+    fault_at = 0
+
+    def fault_the_kth_view(self, offset, length):
+        seen.append(None)
+        if len(seen) == fault_at:
+            kind = (TagViolation, PermissionViolation, BoundsViolation)[fault_at % 3]
+            injected.append(kind(self.address + offset, length))
+            raise injected[0]
+        return view(self, offset, length)
+
+    monkeypatch.setattr(Capability, "view", fault_the_kth_view)
+    srv = GuardServer(ServerConfig(listen_port=0, mode=mode, payload_size=16))
+    try:
+        run_sweep_session(srv)
+    finally:
+        srv.stop()
+        srv.join()
+    views = len(seen)
+    assert views >= (16 if mode == "domains" else 2), views
+    for fault_at in range(1, views + 1):
+        seen.clear()
+        injected.clear()
+        srv = GuardServer(ServerConfig(listen_port=0, mode=mode, payload_size=16))
+        try:
+            try:
+                reserved = run_sweep_session(srv)
+            except (ProtectionFault, ValueError) as exc:  # a fault while listen() takes the buffer
+                assert not srv.alive and srv.port is None
+                cause = exc.__cause__ if mode == "domains" else exc
+                assert isinstance(exc, ValueError if mode == "domains" else ProtectionFault), exc
+                assert cause.record.faulting_address == injected[0].record.faulting_address
+                continue
+            if mode != "domains":
+                srv.join(timeout=5)
+                assert not srv.alive and srv.fatal is injected[0], (fault_at, srv.fatal)
+                continue
+            try:
+                with connect(srv.port) as sock:
+                    served = (roundtrip(sock, b"GET /after\n") or [None])[0] == b"OK"
+                    if served:
+                        assert stats_fields(sock)[b"reserved"] == reserved
+            except OSError:  # refused or reset: the worker has died
+                served = False
+            if not served:
+                srv.join(timeout=5)
+                assert not srv.alive
+                assert isinstance(srv.fatal, (ProtectionFault, MainDomainFault)), (fault_at, srv.fatal)
+                assert srv.fatal.record.faulting_address == injected[0].record.faulting_address
+            else:
+                assert srv.alive and srv.fatal is None
+        finally:
+            srv.stop()
+            srv.join()
+        assert injected, fault_at
 
 
 @pytest.mark.parametrize("mode", ["baseline", "tlsf", "domains"])
