@@ -32,14 +32,12 @@ def _cmd_serve(args) -> int:
         srv.serve()  # the worker runs on this thread
     except KeyboardInterrupt:
         pass  # serve closed every socket on the way out
-    if srv.fatal is not None:
-        if server.log is None and not isinstance(srv.fatal, (ProtectionFault, MainDomainFault)):
-            import traceback  # logging prints it under -v
+    if srv.fatal is not None and server.log is None:  # under -v the worker logged it
+        if not isinstance(srv.fatal, (ProtectionFault, MainDomainFault)):
+            import traceback
             traceback.print_exception(srv.fatal)
-        print(f"worker terminated by {type(srv.fatal).__name__}: {srv.fatal}",
-              file=sys.stderr)
-        return 1
-    return 0
+        print(f"worker terminated by {type(srv.fatal).__name__}: {srv.fatal}", file=sys.stderr)
+    return 0 if srv.fatal is None else 1
 
 
 def _cmd_bench(args, bench_mod) -> int:

@@ -76,6 +76,7 @@ HEAP_SIZE = 256 * 1024  # the tlsf worker heap and the domains parse heap
 ARENA_SIZE = 4 * 1024 * 1024
 MAX_CONNECTIONS = 64  # listen backlog and open-connection table size
 _CONTROL = (b"STATS\n", b"SHUTDOWN\n")  # answered by the worker, never parsed
+COUNTERS = ("served", "rejected", "bytes_out", "overlong", "evicted")  # as STATS names them
 
 
 class ParseError(Exception):
@@ -89,17 +90,6 @@ class RequestLine(NamedTuple):
 
 
 _new_tuple = tuple.__new__  # builds a RequestLine as RequestLine._make does
-
-
-class ConnectionStats:
-    __slots__ = ("served", "rejected_malicious", "bytes_out", "overlong", "evicted")
-
-    def __init__(self, served=0, rejected_malicious=0, bytes_out=0, overlong=0, evicted=0):
-        self.served = served
-        self.rejected_malicious = rejected_malicious
-        self.bytes_out = bytes_out
-        self.overlong = overlong
-        self.evicted = evicted
 
 
 class ServerConfig:
@@ -173,7 +163,7 @@ class GuardServer:
         self.config = config
         self.port: Optional[int] = None
         self.fatal: Optional[BaseException] = None
-        self._stats = ConnectionStats()
+        self._stats = dict.fromkeys(COUNTERS, 0)
         self._stats_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._state = None  # what the worker is handed: built by listen, used by serve
@@ -186,8 +176,8 @@ class GuardServer:
 
     def listen(self) -> None:
         """Build the per-mode state, then bind the listener; a second call
-        refuses.  In domains mode, an ``APP_HEAP_SIZE`` that leaves no heap
-        able to hold a request buffer raises ValueError first."""
+        refuses.  A fault in taking the request buffer, or in domains mode an
+        ``APP_HEAP_SIZE`` that leaves no heap able to hold it, raises ValueError first."""
         if self._listener is not None:
             raise RuntimeError("server already started")
         self._state = self._mode_state()
@@ -227,10 +217,10 @@ class GuardServer:
     def alive(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    def stats_snapshot(self) -> ConnectionStats:
+    def stats_snapshot(self) -> Dict[str, int]:
+        """A copy of the worker's counters, keyed by ``COUNTERS``."""
         with self._stats_lock:
-            s = self._stats
-            return ConnectionStats(s.served, s.rejected_malicious, s.bytes_out, s.overlong, s.evicted)
+            return dict(self._stats)
 
     # ------------------------------------------------------------ worker
 
@@ -240,12 +230,15 @@ class GuardServer:
         the modes that run ``tlsf`` or ``domains`` import them, here, so a
         wrapper bound on either module beforehand still applies.  In domains
         mode the buffer is taken inside the parse domain, from the heap that
-        ``APP_HEAP_SIZE`` sets."""
-        manager = take_buffer = None
-        if self.config.mode == "domains":
+        ``APP_HEAP_SIZE`` sets.  One ``try`` refuses a fault in the first take."""
+        mode = self.config.mode
+        manager, refused, source = None, (), "its arena"
+        if mode == "domains":
             from . import domains, tlsf
             manager = domains.DomainManager(arena_size=ARENA_SIZE, default_heap_size=HEAP_SIZE)
             arena = manager.arena
+            refused = (tlsf.AllocationError, domains.HeapInitError)
+            source = f"the heap that {domains.HEAP_SIZE_ENV} sets"
 
             def contain(job, *args):
                 """Run a parse pass in the parse domain: the fault record if it aborted, else None."""
@@ -259,25 +252,26 @@ class GuardServer:
                 if outcome.aborted:  # no buffer, no serving
                     raise MainDomainFault(outcome.fault)
                 return outcome.value
-
-            try:
-                buf = take_buffer()
-            except (tlsf.AllocationError, domains.HeapInitError, MainDomainFault) as exc:
-                raise ValueError(
-                    f"domains mode cannot serve a {HEADER_BUF_LEN}-byte request buffer "
-                    f"from the heap that {domains.HEAP_SIZE_ENV} sets: {exc}"
-                ) from exc
         else:
             arena = MemoryArena(ARENA_SIZE)
-            if self.config.mode == "tlsf":
+            if mode == "tlsf":
                 from . import tlsf
-                buf = tlsf.tlsf_create_with_pool(arena.reserve(HEAP_SIZE), HEAP_SIZE).malloc(HEADER_BUF_LEN)
+                source = "its heap"
+
+                def take_buffer():  # called once: only domains mode takes it again
+                    heap = tlsf.tlsf_create_with_pool(arena.reserve(HEAP_SIZE), HEAP_SIZE)
+                    return heap.malloc(HEADER_BUF_LEN)
             else:
-                buf = arena.reserve(HEADER_BUF_LEN)
+                take_buffer = functools.partial(arena.reserve, HEADER_BUF_LEN)
 
             def contain(job, *args):
                 return job(*args)  # unguarded: a fault in the parse kills the worker
 
+        try:
+            buf = take_buffer()
+        except (ProtectionFault, MainDomainFault, *refused) as exc:
+            raise ValueError(f"{mode} mode cannot take a {HEADER_BUF_LEN}-byte request buffer "
+                             f"from {source}: {exc}") from exc
         return arena, manager, buf, contain, take_buffer
 
     def _worker(self, arena, manager, buf, contain, take_buffer) -> None:
@@ -285,14 +279,7 @@ class GuardServer:
         sel = selectors.DefaultSelector()
         conns: Dict[socket.socket, _Conn] = {}
         shutting_down = False
-
-        def bump(served=0, rejected=0, out=0, overlong=0, evicted=0):
-            with self._stats_lock:
-                self._stats.served += served
-                self._stats.rejected_malicious += rejected
-                self._stats.bytes_out += out
-                self._stats.overlong += overlong
-                self._stats.evicted += evicted
+        stats, stats_lock = self._stats, self._stats_lock
 
         def flush(conn: _Conn) -> None:
             """One non-blocking send of the queued bytes.  An unsent tail
@@ -335,9 +322,10 @@ class GuardServer:
             gen = 0 if manager is None else manager.heap_generation(PARSE_DOMAIN_UDI)
             text = (
                 f"mode={cfg.mode} payload={cfg.payload_size} "
-                f"served={snap.served} rejected={snap.rejected_malicious} "
-                f"bytes_out={snap.bytes_out} reserved={arena.reserved_bytes} "
-                f"heap_generation={gen} alive=1 overlong={snap.overlong} evicted={snap.evicted}"
+                f"served={snap['served']} rejected={snap['rejected']} "
+                f"bytes_out={snap['bytes_out']} reserved={arena.reserved_bytes} "
+                f"heap_generation={gen} alive=1 "
+                f"overlong={snap['overlong']} evicted={snap['evicted']}"
             )
             return text.encode("ascii")
 
@@ -382,12 +370,15 @@ class GuardServer:
                             fault = contain(parse_lines, conn, start, nl)
                         finally:
                             # answered is answered: malformed requests count as served
-                            bump(served=rbuf.count(b"\n", start, done), out=len(conn.out) - queued)
+                            with stats_lock:
+                                stats["served"] += rbuf.count(b"\n", start, done)
+                                stats["bytes_out"] += len(conn.out) - queued
                             start = done
                         if fault is not None:
                             if log is not None:
                                 log.info("connection dropped after contained fault: %s", fault)
-                            bump(rejected=1)
+                            with stats_lock:
+                                stats["rejected"] += 1
                             close_conn(conn)
                             buf = take_buffer()  # the discarded parse heap took the old one
                             return
@@ -404,7 +395,8 @@ class GuardServer:
                 if nl < 0 and len(rbuf) > MAX_LINE:
                     if log is not None:
                         log.info("connection dropped: %d bytes without a newline", len(rbuf))
-                    bump(overlong=1)
+                    with stats_lock:
+                        stats["overlong"] += 1
                     close_conn(conn)
                     return
                 flush(conn)
@@ -425,7 +417,8 @@ class GuardServer:
                             continue
                         if len(conns) >= MAX_CONNECTIONS:
                             close_conn(next(iter(conns.values())))
-                            bump(evicted=1)
+                            with stats_lock:
+                                stats["evicted"] += 1
                         sock.setblocking(False)
                         # every write is whole frames, so Nagle could only delay them
                         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -464,9 +457,8 @@ class GuardServer:
                 log.exception("worker terminated by %s", type(exc).__name__)
         finally:
             if log is not None:
-                snap = self.stats_snapshot()
-                log.info("worker exiting: served=%d rejected=%d bytes_out=%d",
-                         snap.served, snap.rejected_malicious, snap.bytes_out)
+                log.info("worker exiting: served=%(served)d rejected=%(rejected)d "
+                         "bytes_out=%(bytes_out)d", self.stats_snapshot())
             for conn in list(conns.values()):
                 close_conn(conn)
             sel.close()

@@ -252,6 +252,20 @@ def test_serve_logs_one_line_per_contained_fault_only_under_verbose(verbose):
         assert err == b""
 
 
+def test_a_worker_death_under_verbose_is_reported_once():
+    # the worker logs the cause, so the command does not print it again
+    command = ("-m", "capdomains.cli", "-v", "serve", "--mode", "baseline", "--port", "0")
+    with serve_process(*command) as (proc, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"A" * server_mod.OVERSIZE_LEN + b"\n")
+            assert sock.recv(1) == b""
+        _out, err = proc.communicate(timeout=10)
+    assert proc.returncode == 1
+    deaths = [line for line in err.decode().splitlines() if "worker terminated by" in line]
+    assert len(deaths) == 1, err
+    assert "bounds-violation" in deaths[0]
+
+
 def test_a_second_listen_or_start_is_refused_and_binds_nothing(monkeypatch):
     running = GuardServer(ServerConfig(listen_port=0, mode="domains", payload_size=0))
     running.start()
@@ -359,7 +373,8 @@ def test_serve_prints_a_fatal_protection_fault_once_without_a_traceback(capsys, 
     assert err == f"worker terminated by BoundsViolation: {fault}\n"
 
 
-def test_serve_reports_a_fault_in_taking_its_first_buffer(capsys, monkeypatch):
+@pytest.mark.parametrize("mode", ["tlsf", "domains"])
+def test_serve_reports_a_fault_in_taking_its_first_buffer(mode, capsys, monkeypatch):
     view = Capability.view
     injected = []
 
@@ -370,12 +385,15 @@ def test_serve_reports_a_fault_in_taking_its_first_buffer(capsys, monkeypatch):
         return view(self, offset, length)
 
     monkeypatch.setattr(Capability, "view", fault_the_first_view)
-    rc = main(["serve", "--port", "0", "--mode", "domains"])
+    rc = main(["serve", "--port", "0", "--mode", mode])
     out, err = capsys.readouterr()
     assert rc == 1
     assert "listening on" not in out
-    assert err.startswith("error: ") and str(injected[0].record) in err
-    assert injected[0].record.domain_udi == server_mod.PARSE_DOMAIN_UDI
+    assert err.startswith(f"error: {mode} mode cannot take a ")
+    # domains mode names the fault's record, as the parse domain stamped it
+    assert str(injected[0].record if mode == "domains" else injected[0]) in err
+    udi = server_mod.PARSE_DOMAIN_UDI if mode == "domains" else 0
+    assert injected[0].record.domain_udi == udi
     assert "Traceback" not in err
 
 

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from capdomains.capmem import BoundsViolation, Capability, FaultKind, TagViolation
+from capdomains.capmem import (
+    BoundsViolation, Capability, FaultKind, PermissionViolation, TagViolation,
+)
 from capdomains.domains import (
     APP_DEFAULT_HEAP_SIZE,
     MAX_DOMAIN_ID,
@@ -498,6 +500,53 @@ def test_a_fault_while_a_heap_is_built_leaves_nothing_reserved(k, monkeypatch):
     monkeypatch.setattr(Capability, "view", view)
     assert isinstance(mgr.domain_call(1, functools.partial(mgr.dalloc, 64)), Normal)
     assert mgr.arena.reserved_bytes == 256 * KIB
+
+
+def facade_session(mgr):
+    """Every facade call and both guarded accesses, as the active domain."""
+    grown = mgr.dalloc(48)
+    zeroed = mgr.dcalloc(4, 8)
+    grown.store(0, b"0123456789abcdef")
+    grown = mgr.drealloc(grown, 200)
+    assert grown.load(0, 16) == b"0123456789abcdef"
+    mgr.dfree(zeroed)
+    mgr.dfree(mgr.drealloc(grown, 24))
+
+
+def test_every_injected_access_fault_in_a_domain_session_is_contained(monkeypatch):
+    # counts the checked accesses (views, stores, loads) of one session in
+    # domain 1, then faults each in turn, rotating through the three fault kinds
+    monkeypatch.delenv("APP_HEAP_SIZE", raising=False)
+    seen, injected = [], []
+    fault_at = 0
+
+    def checked(access):
+        def fault_the_kth_access(self, offset, arg):
+            seen.append(access.__name__)
+            if len(seen) == fault_at:
+                kind = (TagViolation, PermissionViolation, BoundsViolation)[fault_at % 3]
+                injected.append(kind(self.address + offset, 1))
+                raise injected[0]
+            return access(self, offset, arg)
+        return fault_the_kth_access
+
+    for name in ("view", "store", "load"):
+        monkeypatch.setattr(Capability, name, checked(getattr(Capability, name)))
+    mgr = DomainManager(arena_size=4 * MIB, default_heap_size=64 * KIB)
+    assert isinstance(mgr.domain_call(1, functools.partial(facade_session, mgr)), Normal)
+    accesses = len(seen)
+    assert "store" in seen and "load" in seen, seen
+    for fault_at in range(1, accesses + 1):
+        seen.clear()
+        injected.clear()
+        mgr = DomainManager(arena_size=4 * MIB, default_heap_size=64 * KIB)
+        outcome = mgr.domain_call(1, functools.partial(facade_session, mgr))
+        assert isinstance(outcome, Aborted), (fault_at, outcome)
+        assert outcome.fault.faulting_address == injected[0].record.faulting_address
+        assert outcome.fault.domain_udi == 1
+        assert mgr.arena.reserved_bytes == 0, fault_at
+        assert mgr.heap_of(1) is None
+        assert isinstance(mgr.domain_call(1, functools.partial(mgr.dalloc, 64)), Normal)
 
 
 # ---------------------------------------------------------------- facade
